@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: build test vet race verify parallel-diff snapshot-diff portfolio-diff delta-diff optimize-diff scale-diff fuzz-smoke alloc-budget serve-smoke bench bench-smoke bench-diff clean
+.PHONY: build test vet race verify parallel-diff snapshot-diff portfolio-diff delta-diff optimize-diff scale-diff formula-size fuzz-smoke alloc-budget serve-smoke perf-gate bench bench-smoke bench-diff clean
 
 # BENCH is the JSON file the bench target writes and bench-diff compares
 # against; point it at the next PR's file when cutting a new baseline.
-BENCH ?= BENCH_PR10.json
+BENCH ?= BENCH_PR12.json
 
 build:
 	$(GO) build ./...
@@ -23,13 +23,32 @@ race:
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkCompile -benchtime=1x .
 
-# bench runs the full root benchmark suite with allocation stats and
-# renders the results to $(BENCH) (name -> ns/op, B/op, allocs/op)
-# via the stdlib-only parser in cmd/benchjson. Commit the JSON to track
-# the perf trajectory.
+# PERF_SET runs the warm-path benchmarks perf-gate checks, five times
+# each with allocation stats, appending to the file named by $(1). The
+# sub-benchmark filter cannot also match the subtest-free
+# BenchmarkServeWarmLoad, so it runs as a second invocation.
+PERF_SET = $(GO) test -run=NONE -bench='^(BenchmarkRepeatedQueries|BenchmarkSynthScaling|BenchmarkColdStart)$$/^(warm|catalog=100%|disk-warm)$$' -benchmem -count=5 . >> $(1) && \
+	$(GO) test -run=NONE -bench='^BenchmarkServeWarmLoad$$' -benchmem -count=5 . >> $(1)
+
+# bench runs the full root benchmark suite with allocation stats, plus
+# the perf-gate set five more times (so its baseline rows are best-of-N
+# like the gate's runs), and renders the results to $(BENCH) (name ->
+# ns/op, B/op, allocs/op) via the stdlib-only parser in cmd/benchjson.
+# Commit the JSON to track the perf trajectory.
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem -count=1 . | tee /tmp/netarch-bench.txt
+	$(call PERF_SET,/tmp/netarch-bench.txt)
 	$(GO) run ./cmd/benchjson < /tmp/netarch-bench.txt > $(BENCH)
+
+# perf-gate runs the warm-path set (RepeatedQueries/warm,
+# SynthScaling/catalog=100%, ColdStart/disk-warm, ServeWarmLoad) with
+# -count=5 -benchmem and fails when best-of-5 B/op or allocs/op exceed
+# the newest committed BENCH_*.json by more than 10%. ns/op is printed
+# best-of-5 but not gated: wall-clock time is too noisy to gate.
+perf-gate:
+	rm -f /tmp/netarch-perf-gate.txt
+	$(call PERF_SET,/tmp/netarch-perf-gate.txt)
+	$(GO) run ./cmd/benchjson -gate "$$(ls BENCH_PR*.json | sort -V | tail -1)" < /tmp/netarch-perf-gate.txt
 
 # bench-diff runs the bench suite and prints per-benchmark deltas against
 # the newest committed BENCH_*.json instead of writing a new file — the
@@ -113,12 +132,19 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeBase -fuzztime=10s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzMaxSATBounds -fuzztime=10s ./internal/core
 
+# formula-size pins the vars/clauses of representative compiled bases
+# (the §5.1 seed shapes, a cost-capped shape, a 5k-SKU slice), so an
+# encoding change that grows every base fails by name.
+formula-size:
+	$(GO) test -run='TestFormulaSizeGolden' -count=1 ./internal/core
+
 # verify is the full pre-merge gate: tier-1 (build + test) plus static
 # analysis, the race detector over every package, the enumeration,
-# snapshot, optimality and relevance-slicing differentials, the hot-path
-# allocation budgets, the serve lifecycle smoke, a fuzz smoke over the
-# snapshot decoders and the MaxSAT bounds, and a benchmark smoke run.
-verify: build vet test race parallel-diff snapshot-diff portfolio-diff delta-diff optimize-diff scale-diff alloc-budget serve-smoke fuzz-smoke bench-smoke
+# snapshot, optimality and relevance-slicing differentials, the formula-
+# size golden, the hot-path allocation budgets, the serve lifecycle
+# smoke, a fuzz smoke over the snapshot decoders and the MaxSAT bounds,
+# a benchmark smoke run, and the warm-path allocation gate.
+verify: build vet test race parallel-diff snapshot-diff portfolio-diff delta-diff optimize-diff scale-diff formula-size alloc-budget serve-smoke fuzz-smoke bench-smoke perf-gate
 
 clean:
 	$(GO) clean ./...

@@ -12,8 +12,10 @@
 //	}
 //
 // Lines that are not benchmark results (headers, PASS/ok trailers) are
-// ignored. A benchmark that appears more than once (e.g. -count>1)
-// keeps the minimum ns/op run, the conventional "best of N" summary.
+// ignored. A benchmark that appears more than once (e.g. -count>1) is
+// summarized best-of-N: ns/op, B/op and allocs/op each keep their
+// minimum over the runs; iterations and custom metrics come from the
+// fastest run.
 //
 // With -diff OLD.json, instead of emitting JSON it compares the run on
 // stdin against a previously committed baseline and prints a
@@ -21,6 +23,14 @@
 // percentage). Benchmarks present on only one side are listed as added
 // or removed. `make bench-diff` wires this against the newest committed
 // BENCH_*.json.
+//
+// With -gate BASE.json it checks every benchmark on stdin against the
+// baseline and exits 1 if its B/op or allocs/op exceeds the baseline's
+// by more than gateTolerance, or if the baseline has no such row.
+// Allocation counters are deterministic enough to gate; ns/op is printed
+// (best of N) but never gated, because wall-clock time on shared
+// machines is too noisy. `make perf-gate` wires this against the newest
+// committed BENCH_*.json.
 package main
 
 import (
@@ -93,8 +103,25 @@ func parseLine(line string) (string, result, bool) {
 	return name, r, true
 }
 
+// gateTolerance is the fractional B/op and allocs/op growth -gate allows
+// over the baseline.
+const gateTolerance = 0.10
+
+// merge folds a repeated run of one benchmark into its best-of-N
+// summary.
+func merge(prev, r result) result {
+	best := prev
+	if r.NsPerOp < prev.NsPerOp {
+		best = r
+	}
+	best.BPerOp = min(prev.BPerOp, r.BPerOp)
+	best.AllocsPerOp = min(prev.AllocsPerOp, r.AllocsPerOp)
+	return best
+}
+
 func main() {
 	diffBase := flag.String("diff", "", "baseline BENCH_*.json to diff the run on stdin against")
+	gateBase := flag.String("gate", "", "baseline BENCH_*.json whose B/op and allocs/op the run on stdin must not exceed by more than 10%")
 	flag.Parse()
 
 	results := make(map[string]result)
@@ -105,9 +132,10 @@ func main() {
 		if !ok {
 			continue
 		}
-		if prev, dup := results[name]; !dup || r.NsPerOp < prev.NsPerOp {
-			results[name] = r
+		if prev, dup := results[name]; dup {
+			r = merge(prev, r)
 		}
+		results[name] = r
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -121,6 +149,17 @@ func main() {
 	if *diffBase != "" {
 		if err := printDiff(*diffBase, results); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		return
+	}
+	if *gateBase != "" {
+		ok, err := gate(*gateBase, results)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		if !ok {
 			os.Exit(1)
 		}
 		return
@@ -153,17 +192,76 @@ func main() {
 	fmt.Fprintln(out, "}")
 }
 
+// loadBaseline reads a committed BENCH_*.json file.
+func loadBaseline(path string) (map[string]result, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	old := make(map[string]result)
+	if err := json.Unmarshal(raw, &old); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return old, nil
+}
+
+// gate checks every benchmark in the run against the baseline and prints
+// one line per benchmark: best-of-N ns/op for information, then B/op and
+// allocs/op with their verdict. It reports false when any benchmark
+// exceeds the tolerance or cannot be compared.
+func gate(basePath string, run map[string]result) (bool, error) {
+	old, err := loadBaseline(basePath)
+	if err != nil {
+		return false, err
+	}
+	names := make([]string, 0, len(run))
+	for n := range run {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+
+	out := bufio.NewWriter(os.Stdout)
+	defer out.Flush()
+	fmt.Fprintf(out, "perf gate vs %s (B/op and allocs/op may grow at most %.0f%%; ns/op not gated):\n",
+		basePath, 100*gateTolerance)
+	fmt.Fprintf(out, "%-45s %12s %25s %25s  %s\n", "benchmark", "best ns/op", "B/op", "allocs/op", "verdict")
+	ok := true
+	for _, n := range names {
+		nr := run[n]
+		or, found := old[n]
+		var verdict string
+		switch {
+		case !found:
+			verdict = "FAIL (no baseline row)"
+		case nr.BPerOp < 0 || nr.AllocsPerOp < 0 || or.BPerOp < 0 || or.AllocsPerOp < 0:
+			verdict = "FAIL (run without -benchmem)"
+		case exceeds(or.BPerOp, nr.BPerOp) || exceeds(or.AllocsPerOp, nr.AllocsPerOp):
+			verdict = "FAIL"
+		default:
+			verdict = "ok"
+		}
+		if verdict != "ok" {
+			ok = false
+		}
+		fmt.Fprintf(out, "%-45s %12s %25s %25s  %s\n", n, humanize(nr.NsPerOp),
+			deltaCol(float64(or.BPerOp), float64(nr.BPerOp)),
+			deltaCol(float64(or.AllocsPerOp), float64(nr.AllocsPerOp)), verdict)
+	}
+	return ok, nil
+}
+
+// exceeds reports whether cur grew past base by more than gateTolerance.
+func exceeds(base, cur int64) bool {
+	return float64(cur) > float64(base)*(1+gateTolerance)
+}
+
 // printDiff renders a per-benchmark delta table of the new results
 // against the baseline file. Negative percentages are improvements for
 // every column (less time, fewer bytes, fewer allocations).
 func printDiff(basePath string, new map[string]result) error {
-	raw, err := os.ReadFile(basePath)
+	old, err := loadBaseline(basePath)
 	if err != nil {
 		return err
-	}
-	old := make(map[string]result)
-	if err := json.Unmarshal(raw, &old); err != nil {
-		return fmt.Errorf("%s: %w", basePath, err)
 	}
 
 	names := make([]string, 0, len(new)+len(old))

@@ -116,9 +116,11 @@ type compiled struct {
 
 	coresUsed  intlin.Int
 	coresTotal intlin.Int
-	costTotal  intlin.Int
-	powerTotal intlin.Int
-	portTotal  intlin.Int
+	// costTotal is the total-hardware-cost circuit, built into the base
+	// only when the shape carries a MaxCostUSD cap (the budget:cost
+	// selector bounds it). Uncapped shapes leave it zero; objectives build
+	// their circuits on the query instance instead (see objectiveInt).
+	costTotal intlin.Int
 
 	// witness is the most recent Sat model read back as a design; the
 	// optimizer snapshots it so a budget trip mid-optimization can still
@@ -251,9 +253,12 @@ func (e *Engine) compileBaseWith(k *kb.KB, sc *Scenario, prev *logic.ShardSet) (
 	c.frozen = true
 	c.arith = intlin.New(c.solver)
 	c.resourceConstraints()
-	c.costModel()
-	c.powerModel()
-	c.portModel()
+	if c.sc.MaxCostUSD > 0 {
+		c.costTotal = c.costModel()
+		sel := c.addSelector("budget:cost",
+			fmt.Sprintf("total hardware cost must not exceed $%d", c.sc.MaxCostUSD))
+		c.arith.AssertImplies(sel, c.arith.LeqConst(c.costTotal, c.sc.MaxCostUSD))
+	}
 	// One inprocessing pass pays off across every clone of this base (and
 	// runs on the cache-off path too, so both paths stay byte-identical).
 	c.solver.Simplify()
@@ -988,22 +993,11 @@ func (c *compiled) switchBudget(res kb.Resource, selName, note string) {
 	c.arith.AssertImplies(sel, c.arith.Leq(used, budget))
 }
 
-// kindTotal builds a muxed per-kind contribution: one bounded integer,
-// forced to val(h) exactly while SKU h is selected. The previous
-// encoding summed one ScaledBool per SKU, which grows an adder chain
-// linear in the catalog — ruinous at scaled-catalog sizes, where one
-// kind can hold tens of thousands of candidates. The mux follows the
-// coresTotal/memTotal precedent: at most one SKU per kind is selected,
-// so exactly one EqConst fires and the variable is pinned to the
-// selected SKU's value. When no SKU of the kind is selected (possible
-// only in MUS deletion trials that drop the selection selector) the
-// variable floats; such trials only ask satisfiability, which a
-// floating total never changes.
 // muxTotals reports whether the cost/power/port circuits should use the
-// muxed per-kind encoding. Gated on the same threshold as the AMO
-// ladder: below it the ScaledBool adder chains are small and the seed
-// encoding (and every snapshot and model trajectory built on it) stays
-// byte-identical; above it the chains dominate compile time and memory.
+// muxed per-kind encoding (kindTotal). Gated on the same threshold as the
+// AMO ladder: below it the ScaledBool adder chains are small and the seed
+// encoding stays unchanged; above it the chains dominate build time and
+// memory.
 func (c *compiled) muxTotals() bool {
 	for _, kind := range []kb.HardwareKind{kb.KindSwitch, kb.KindNIC, kb.KindServer} {
 		if len(c.allowedHardware(kind)) > amoPairwiseMax {
@@ -1013,6 +1007,16 @@ func (c *compiled) muxTotals() bool {
 	return false
 }
 
+// kindTotal builds a muxed per-kind contribution: one bounded integer,
+// forced to val(h) exactly while SKU h is selected. Summing one
+// ScaledBool per SKU instead grows an adder chain linear in the catalog
+// — ruinous at scaled-catalog sizes, where one kind can hold tens of
+// thousands of candidates. The mux follows the coresTotal/memTotal
+// precedent: at most one SKU per kind is selected, so exactly one EqConst
+// fires and the variable is pinned to the selected SKU's value. When no
+// SKU of the kind is selected (possible only in MUS deletion trials that
+// drop the selection selector) the variable floats; such trials only ask
+// satisfiability, which a floating total never changes.
 func (c *compiled) kindTotal(kind kb.HardwareKind, val func(*kb.Hardware) int64) intlin.Int {
 	hws := c.allowedHardware(kind)
 	var maxV int64
@@ -1031,85 +1035,60 @@ func (c *compiled) kindTotal(kind kb.HardwareKind, val func(*kb.Hardware) int64)
 	return t
 }
 
-// costModel builds the total hardware cost and the optional budget cap.
-func (c *compiled) costModel() {
+// hardwareTotal builds the circuit for a per-SKU quantity summed over the
+// selected hardware: val(h) times the SKU's deployment count (servers
+// and NICs once per server, switches once per switch), over the kinds
+// listed. It emits into c's solver, so it serves both the base compile
+// (the cost cap) and query-time objectives.
+func (c *compiled) hardwareTotal(val func(*kb.Hardware) int64, kinds ...kb.HardwareKind) intlin.Int {
 	ns := int64(c.sc.numServers())
 	nsw := int64(c.sc.numSwitches())
+	countOf := func(kind kb.HardwareKind) int64 {
+		if kind == kb.KindSwitch {
+			return nsw
+		}
+		return ns
+	}
 	if c.muxTotals() {
-		c.costTotal = c.arith.Sum(
-			c.kindTotal(kb.KindServer, func(h *kb.Hardware) int64 { return h.CostUSD * ns }),
-			c.kindTotal(kb.KindNIC, func(h *kb.Hardware) int64 { return h.CostUSD * ns }),
-			c.kindTotal(kb.KindSwitch, func(h *kb.Hardware) int64 { return h.CostUSD * nsw }),
-		)
-	} else {
-		var terms []intlin.Int
-		add := func(kind kb.HardwareKind, count int64) {
-			for _, h := range c.allowedHardware(kind) {
-				if cost := h.CostUSD * count; cost > 0 {
-					terms = append(terms, c.arith.ScaledBool(c.hwLit[h.Name], cost))
-				}
+		terms := make([]intlin.Int, len(kinds))
+		for i, kind := range kinds {
+			n := countOf(kind)
+			terms[i] = c.kindTotal(kind, func(h *kb.Hardware) int64 { return val(h) * n })
+		}
+		return c.arith.Sum(terms...)
+	}
+	var terms []intlin.Int
+	for _, kind := range kinds {
+		n := countOf(kind)
+		for _, h := range c.allowedHardware(kind) {
+			if v := val(h) * n; v > 0 {
+				terms = append(terms, c.arith.ScaledBool(c.hwLit[h.Name], v))
 			}
 		}
-		add(kb.KindServer, ns)
-		add(kb.KindNIC, ns)
-		add(kb.KindSwitch, nsw)
-		c.costTotal = c.arith.Sum(terms...)
 	}
-	if c.sc.MaxCostUSD > 0 {
-		sel := c.addSelector("budget:cost",
-			fmt.Sprintf("total hardware cost must not exceed $%d", c.sc.MaxCostUSD))
-		c.arith.AssertImplies(sel, c.arith.LeqConst(c.costTotal, c.sc.MaxCostUSD))
-	}
+	return c.arith.Sum(terms...)
+}
+
+// costModel builds the total hardware cost circuit.
+func (c *compiled) costModel() intlin.Int {
+	return c.hardwareTotal(func(h *kb.Hardware) int64 { return h.CostUSD },
+		kb.KindServer, kb.KindNIC, kb.KindSwitch)
 }
 
 // powerModel builds the fleet's total power draw in watts: each SKU's
 // power_w rule of thumb (Listing 1 quantities) times its deployment
-// count, summed over servers, NICs, and switches. The circuit exists on
-// every base so MinimizePower and the power_w design metric work for
-// any scenario shape.
-func (c *compiled) powerModel() {
-	ns := int64(c.sc.numServers())
-	nsw := int64(c.sc.numSwitches())
-	if c.muxTotals() {
-		c.powerTotal = c.arith.Sum(
-			c.kindTotal(kb.KindServer, func(h *kb.Hardware) int64 { return h.Q(kb.ResPowerW) * ns }),
-			c.kindTotal(kb.KindNIC, func(h *kb.Hardware) int64 { return h.Q(kb.ResPowerW) * ns }),
-			c.kindTotal(kb.KindSwitch, func(h *kb.Hardware) int64 { return h.Q(kb.ResPowerW) * nsw }),
-		)
-		return
-	}
-	var terms []intlin.Int
-	add := func(kind kb.HardwareKind, count int64) {
-		for _, h := range c.allowedHardware(kind) {
-			if w := h.Q(kb.ResPowerW) * count; w > 0 {
-				terms = append(terms, c.arith.ScaledBool(c.hwLit[h.Name], w))
-			}
-		}
-	}
-	add(kb.KindServer, ns)
-	add(kb.KindNIC, ns)
-	add(kb.KindSwitch, nsw)
-	c.powerTotal = c.arith.Sum(terms...)
+// count, summed over servers, NICs, and switches — the MinimizePower
+// objective.
+func (c *compiled) powerModel() intlin.Int {
+	return c.hardwareTotal(func(h *kb.Hardware) int64 { return h.Q(kb.ResPowerW) },
+		kb.KindServer, kb.KindNIC, kb.KindSwitch)
 }
 
 // portModel builds the fabric's total switch port count (selected
-// switch's ports times the switch count) — the MinimizePorts objective
-// and the switch_ports design metric.
-func (c *compiled) portModel() {
-	nsw := int64(c.sc.numSwitches())
-	if c.muxTotals() {
-		c.portTotal = c.kindTotal(kb.KindSwitch, func(h *kb.Hardware) int64 {
-			return h.Q(kb.ResPortCount) * nsw
-		})
-		return
-	}
-	var terms []intlin.Int
-	for _, h := range c.allowedHardware(kb.KindSwitch) {
-		if p := h.Q(kb.ResPortCount) * nsw; p > 0 {
-			terms = append(terms, c.arith.ScaledBool(c.hwLit[h.Name], p))
-		}
-	}
-	c.portTotal = c.arith.Sum(terms...)
+// switch's ports times the switch count) — the MinimizePorts objective.
+func (c *compiled) portModel() intlin.Int {
+	return c.hardwareTotal(func(h *kb.Hardware) int64 { return h.Q(kb.ResPortCount) },
+		kb.KindSwitch)
 }
 
 // selectorLit returns the literal of the selector registered under name.
@@ -1154,9 +1133,23 @@ func (c *compiled) designFrom(model []bool) *Design {
 		}
 	}
 	sort.Strings(d.Systems)
+	// Hardware metrics are plain arithmetic over the selected SKUs: the
+	// cost/power/port circuits exist only where an objective or the cost
+	// cap names them, and exactly one SKU per kind is selected in any
+	// model this reads.
+	ns := int64(c.sc.numServers())
+	nsw := int64(c.sc.numSwitches())
+	var cost, power, ports int64
 	for _, h := range c.allowedHardwareAll() {
 		if lit(c.hwLit[h.Name]) {
 			d.Hardware[h.Kind] = h.Name
+			n := ns
+			if h.Kind == kb.KindSwitch {
+				n = nsw
+				ports += h.Q(kb.ResPortCount) * n
+			}
+			cost += h.CostUSD * n
+			power += h.Q(kb.ResPowerW) * n
 		}
 	}
 	// Context atoms: every vocab name with the ctx: prefix, plus any
@@ -1172,8 +1165,8 @@ func (c *compiled) designFrom(model []bool) *Design {
 	}
 	d.Metrics["cores_used"] = intlin.ValueOf(c.coresUsed, model)
 	d.Metrics["cores_total"] = intlin.ValueOf(c.coresTotal, model)
-	d.Metrics["cost_usd"] = intlin.ValueOf(c.costTotal, model)
-	d.Metrics["power_w"] = intlin.ValueOf(c.powerTotal, model)
-	d.Metrics["switch_ports"] = intlin.ValueOf(c.portTotal, model)
+	d.Metrics["cost_usd"] = cost
+	d.Metrics["power_w"] = power
+	d.Metrics["switch_ports"] = ports
 	return d
 }

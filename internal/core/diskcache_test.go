@@ -145,6 +145,13 @@ var corruptions = []struct {
 		d[0] = 'X'
 		return reseal(d)
 	}, ErrSnapshotCorrupt},
+	{"previous-version-v5", func(d []byte) []byte {
+		// v5 envelopes carried power/port circuits this build no longer
+		// compiles; the version guard must reject them before any of that
+		// is parsed.
+		binary.LittleEndian.PutUint32(d[8:], 5)
+		return reseal(d)
+	}, ErrSnapshotVersion},
 	{"future-version", func(d []byte) []byte {
 		binary.LittleEndian.PutUint32(d[8:], baseSnapshotVersion+7)
 		return reseal(d)
@@ -206,6 +213,13 @@ func TestDiskCacheCorruptionMatrix(t *testing.T) {
 			}
 			if rep.Verdict != Feasible {
 				t.Fatalf("verdict = %v, want Feasible", rep.Verdict)
+			}
+			ref, err := mustEngine(t, miniKB()).Synthesize(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := renderReport(rep), renderReport(ref); got != want {
+				t.Errorf("answer after rejecting the file differs from a cache-less engine's:\n got %s\nwant %s", got, want)
 			}
 			st := fresh.CacheStats()
 			stale := errors.Is(tc.wantErr, ErrSnapshotStale)

@@ -156,12 +156,12 @@ func (e *Engine) OptimizeWithStrategyCtx(ctx context.Context, sc Scenario, objec
 }
 
 // objectiveSpec is one optimization level lowered onto a compiled
-// instance: either an arithmetic term that already lives in the base
-// circuits (cost, cores, power, ports) or a freshly built counting
-// network (systems, order penalties). Count circuits are emitted into
-// the instance the spec was built on; their bound literals are pure
-// lookups afterwards, so a spec is safe to instantiate on any fork of
-// that instance (the Pareto cube workers rely on this).
+// instance: either an arithmetic term (cost, cores, power, ports — see
+// objectiveInt) or a freshly built counting network (systems, order
+// penalties). Circuits are emitted into the instance the spec was built
+// on; their bound literals are pure lookups afterwards, so a spec is
+// safe to instantiate on any fork of that instance (the Pareto cube
+// workers rely on this).
 type objectiveSpec struct {
 	term  intlin.Int             // int-backed objectives
 	isInt bool                   // term valid
@@ -179,20 +179,16 @@ func (sp objectiveSpec) instantiate(f *compiled) maxsat.Objective {
 }
 
 // objectiveSpecs lowers the objective list onto c, building whatever
-// circuits the levels need (totalizers, order-penalty literals). Call it
-// on the instance whose clones will be searched — before cloning.
+// circuits the levels need (hardware totals, totalizers, order-penalty
+// literals). Call it on the instance whose clones will be searched —
+// before cloning — at decision level 0.
 func (c *compiled) objectiveSpecs(objectives []Objective) ([]objectiveSpec, error) {
 	specs := make([]objectiveSpec, len(objectives))
+	clauses := c.solver.NumClauses()
 	for i, obj := range objectives {
 		switch obj.Kind {
-		case MinimizeCost:
-			specs[i] = objectiveSpec{term: c.costTotal, isInt: true}
-		case MinimizeCores:
-			specs[i] = objectiveSpec{term: c.coresUsed, isInt: true}
-		case MinimizePower:
-			specs[i] = objectiveSpec{term: c.powerTotal, isInt: true}
-		case MinimizePorts:
-			specs[i] = objectiveSpec{term: c.portTotal, isInt: true}
+		case MinimizeCost, MinimizeCores, MinimizePower, MinimizePorts:
+			specs[i] = objectiveSpec{term: c.objectiveInt(obj.Kind), isInt: true}
 		case MinimizeSystems:
 			lits := make([]sat.Lit, 0, len(c.sysLit))
 			for j := range c.kb.Systems {
@@ -209,7 +205,34 @@ func (c *compiled) objectiveSpecs(objectives []Objective) ([]objectiveSpec, erro
 			return nil, fmt.Errorf("core: unknown objective kind %v", obj.Kind)
 		}
 	}
+	if c.solver.NumClauses() > clauses {
+		// The same inprocessing pass the base gets at compile time, over
+		// the circuits just lowered: it pays for itself within one descent
+		// (fewer conflicts on the §5.1 cost/power objectives).
+		c.solver.Simplify()
+	}
 	return specs, nil
+}
+
+// objectiveInt returns the integer circuit an int-backed objective
+// minimizes. The cores circuit lives in every base (the cores constraint
+// reads it) and the cost circuit in bases whose shape caps cost; anything
+// else is built here, on c's own solver, so only queries that name an
+// objective pay for its adder tree.
+func (c *compiled) objectiveInt(kind ObjectiveKind) intlin.Int {
+	switch kind {
+	case MinimizeCores:
+		return c.coresUsed
+	case MinimizeCost:
+		if c.sc.MaxCostUSD > 0 {
+			return c.costTotal
+		}
+		return c.costModel()
+	case MinimizePower:
+		return c.powerModel()
+	default: // MinimizePorts
+		return c.portModel()
+	}
 }
 
 // ParseObjective parses the CLI/serve spelling of one objective level:

@@ -86,8 +86,9 @@ func (e *Engine) ParetoWithStrategyCtx(ctx context.Context, sc Scenario, objecti
 	defer g.done()
 	tpl := e.specialize(base, &sc, solver)
 	// Lower the objective circuits onto the template BEFORE any clone is
-	// taken: every cube worker inherits the same totalizers and penalty
-	// literals, which is what makes cube results fork-independent.
+	// taken: every cube worker inherits the same hardware totals,
+	// totalizers and penalty literals, which is what makes cube results
+	// fork-independent.
 	specs, err := tpl.objectiveSpecs(objectives)
 	if err != nil {
 		return nil, err
