@@ -4,7 +4,7 @@ GO ?= go
 
 # BENCH is the JSON file the bench target writes and bench-diff compares
 # against; point it at the next PR's file when cutting a new baseline.
-BENCH ?= BENCH_PR12.json
+BENCH ?= BENCH_PR13.json
 
 build:
 	$(GO) build ./...
@@ -26,9 +26,12 @@ bench-smoke:
 # PERF_SET runs the warm-path benchmarks perf-gate checks, five times
 # each with allocation stats, appending to the file named by $(1). The
 # sub-benchmark filter cannot also match the subtest-free
-# BenchmarkServeWarmLoad, so it runs as a second invocation.
+# BenchmarkServeWarmLoad, so it runs as a second invocation; the 50k-SKU
+# slice computation and hardware-index build live in internal/core and
+# run as a third.
 PERF_SET = $(GO) test -run=NONE -bench='^(BenchmarkRepeatedQueries|BenchmarkSynthScaling|BenchmarkColdStart)$$/^(warm|catalog=100%|disk-warm)$$' -benchmem -count=5 . >> $(1) && \
-	$(GO) test -run=NONE -bench='^BenchmarkServeWarmLoad$$' -benchmem -count=5 . >> $(1)
+	$(GO) test -run=NONE -bench='^BenchmarkServeWarmLoad$$' -benchmem -count=5 . >> $(1) && \
+	$(GO) test -run=NONE -bench='^(BenchmarkSliceCompute|BenchmarkHWIndexBuild)$$' -benchmem -count=5 ./internal/core >> $(1)
 
 # bench runs the full root benchmark suite with allocation stats, plus
 # the perf-gate set five more times (so its baseline rows are best-of-N
@@ -41,7 +44,8 @@ bench:
 	$(GO) run ./cmd/benchjson < /tmp/netarch-bench.txt > $(BENCH)
 
 # perf-gate runs the warm-path set (RepeatedQueries/warm,
-# SynthScaling/catalog=100%, ColdStart/disk-warm, ServeWarmLoad) with
+# SynthScaling/catalog=100%, ColdStart/disk-warm, ServeWarmLoad,
+# SliceCompute/skus=50000, HWIndexBuild) with
 # -count=5 -benchmem and fails when best-of-5 B/op or allocs/op exceed
 # the newest committed BENCH_*.json by more than 10%. ns/op is printed
 # best-of-5 but not gated: wall-clock time is too noisy to gate.
@@ -117,9 +121,13 @@ optimize-diff:
 # Pareto frontier, design and explanation from the cone-of-influence
 # slice must match the full encoding — over the §5.1 suite plus seeded
 # randomized scenarios, at 1/2/8 workers, warm and cold — together with
-# the slice edge cases and the 50k-SKU catalog generation smoke.
+# the slice edge cases, the dominance-pruning reference differential
+# (hardware index and skyline memo vs brute force; its concurrent part
+# again under the race detector) and the 50k-SKU catalog generation
+# smoke.
 scale-diff:
-	$(GO) test -run='TestScaleDifferential|TestSlice' -count=1 ./internal/core
+	$(GO) test -run='TestScaleDifferential|TestSlice|TestPruneHardwareMatchesReference' -count=1 ./internal/core
+	$(GO) test -race -run='TestPruneHardwareMatchesReference/concurrent' -count=1 ./internal/core
 	$(GO) test -run='TestCatalogScale' -count=1 ./internal/extract
 
 # fuzz-smoke runs the snapshot decoders' fuzz targets briefly so the

@@ -67,6 +67,13 @@ type CacheStats struct {
 	SliceHits     int64
 	SliceSKUsIn   int64
 	SliceSKUsKept int64
+	// Hardware-index counters (hwindex.go), also zero unless slicing
+	// engaged. SkylineComputed: per-kind dominance scans run;
+	// SkylineHits: per-kind skylines served from the index's memo;
+	// HWIndexBuilds: per-KB hardware indexes built.
+	SkylineComputed int64
+	SkylineHits     int64
+	HWIndexBuilds   int64
 }
 
 // String renders the cache stats.
@@ -86,10 +93,11 @@ func (cs CacheStats) String() string {
 		s += fmt.Sprintf("; pool: %d hits / %d misses", cs.PoolHits, cs.PoolMisses)
 	}
 	if cs.SliceComputed+cs.SliceHits > 0 {
-		s += fmt.Sprintf("; slice: %d computed / %d memo hits, avg %d→%d SKUs",
+		s += fmt.Sprintf("; slice: %d computed / %d memo hits, avg %d→%d SKUs, skylines %d computed / %d memo hits, %d index builds",
 			cs.SliceComputed, cs.SliceHits,
 			cs.SliceSKUsIn/max64(cs.SliceComputed, 1),
-			cs.SliceSKUsKept/max64(cs.SliceComputed, 1))
+			cs.SliceSKUsKept/max64(cs.SliceComputed, 1),
+			cs.SkylineComputed, cs.SkylineHits, cs.HWIndexBuilds)
 	}
 	return s
 }
@@ -134,6 +142,9 @@ func (e *Engine) CacheStats() CacheStats {
 			PoolHits: e.poolHits.Load(), PoolMisses: e.poolMisses.Load(),
 			SliceComputed: e.sliceComputed.Load(), SliceHits: e.sliceHits.Load(),
 			SliceSKUsIn: e.sliceSKUsIn.Load(), SliceSKUsKept: e.sliceSKUsKept.Load(),
+			SkylineComputed: e.hwStats.skylineComputed.Load(),
+			SkylineHits:     e.hwStats.skylineHits.Load(),
+			HWIndexBuilds:   e.hwStats.builds.Load(),
 		}
 	}
 	prev := collect()
@@ -167,10 +178,10 @@ func (e *Engine) InvalidateCache() {
 	if e.cacheDir != "" {
 		e.kbHash = kbContentHash(e.kbCur)
 	}
-	// Memoized slices were computed from the previous KB content; the
-	// generation in their memo key already fences them, but dropping them
-	// keeps the memo from holding dead sub-KBs alive.
-	e.invalidateSliceMemo()
+	// Memoized slices and the hardware index were computed from the
+	// previous KB content; the generation in their keys already fences
+	// them, but dropping them keeps dead sub-KBs from staying alive.
+	e.resetSlicing(nil)
 }
 
 // SetCacheCapacity bounds how many compiled bases the engine retains

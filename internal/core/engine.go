@@ -89,11 +89,14 @@ type Engine struct {
 
 	// Relevance slicing (slice.go). sliceMode is the policy (SliceAuto /
 	// SliceOff / SliceOn); sliceMemo caches computed slices per
-	// (generation, request) under its own lock so the warm path never
-	// recomputes a cone. The counters feed CacheStats.
+	// (generation, request) so the warm path never recomputes a cone;
+	// hwIdx, guarded by hwMu, is the current KB's hardware index
+	// (hwindex.go). The counters feed CacheStats.
 	sliceMode     atomic.Int32
-	sliceMu       sync.Mutex
-	sliceMemo     map[string]*kbSlice
+	sliceMemo     boundedMemo[*kbSlice]
+	hwMu          sync.Mutex
+	hwIdx         *hwIndex
+	hwStats       hwStats
 	sliceComputed atomic.Int64
 	sliceHits     atomic.Int64
 	sliceSKUsIn   atomic.Int64

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -75,8 +77,9 @@ const (
 // every pre-existing differential keeps exercising the unsliced path.
 const sliceAutoThreshold = 512
 
-// sliceMemoCap bounds the per-engine request→slice memo; the map is
-// reset wholesale when it fills (requests are tiny to recompute).
+// sliceMemoCap bounds the per-engine request→slice memo and the
+// per-KB memos of the hardware index; each map is reset wholesale when
+// it fills (their entries are cheap to recompute).
 const sliceMemoCap = 256
 
 // String renders the mode as its flag spelling.
@@ -257,40 +260,26 @@ func (e *Engine) sliceFor(k *kb.KB, gen uint64, sc *Scenario, shape *Scenario) *
 		return nil
 	}
 	key := fmt.Sprintf("%d|%s", gen, req.key())
-	e.sliceMu.Lock()
-	if sl, ok := e.sliceMemo[key]; ok {
-		e.sliceMu.Unlock()
-		e.sliceHits.Add(1)
-		return sl
-	}
-	e.sliceMu.Unlock()
-	// Compute off-lock: deterministic, so a racing duplicate is merely
-	// redundant work, never an inconsistency.
-	sl := computeSlice(k, req)
-	e.sliceMu.Lock()
-	if e.sliceMemo == nil || len(e.sliceMemo) >= sliceMemoCap {
-		e.sliceMemo = make(map[string]*kbSlice, sliceMemoCap)
-	}
-	if prior, ok := e.sliceMemo[key]; ok {
-		sl = prior
-		e.sliceMu.Unlock()
-	} else {
-		e.sliceMemo[key] = sl
-		e.sliceMu.Unlock()
+	sl, hit := e.sliceMemo.get(key, func() *kbSlice {
+		sl := computeSlice(k, req, e.hwIndexFor(k, gen))
 		e.sliceComputed.Add(1)
 		e.sliceSKUsIn.Add(int64(sl.skusIn))
 		e.sliceSKUsKept.Add(int64(sl.skusKept))
+		return sl
+	})
+	if hit {
+		e.sliceHits.Add(1)
 	}
 	return sl
 }
 
-// invalidateSliceMemoLocked drops memoized slices; callers hold e.mu
-// (the memo has its own lock, but invalidation points already serialize
-// on the engine lock).
-func (e *Engine) invalidateSliceMemo() {
-	e.sliceMu.Lock()
-	e.sliceMemo = nil
-	e.sliceMu.Unlock()
+// resetSlicing drops memoized slices and installs idx (nil: build one
+// lazily) as the hardware index.
+func (e *Engine) resetSlicing(idx *hwIndex) {
+	e.sliceMemo.reset()
+	e.hwMu.Lock()
+	e.hwIdx = idx
+	e.hwMu.Unlock()
 }
 
 // atom namespace tests for slice membership.
@@ -300,9 +289,9 @@ func atomProp(a string) (string, bool)   { return strings.CutPrefix(a, "prop:") 
 func atomHw(a string) (string, bool)     { return strings.CutPrefix(a, "hw:") }
 
 // computeSlice runs the cone-of-influence fixpoint and builds the
-// sub-KB. Deterministic: iteration is over catalog order and sorted
-// sets only.
-func computeSlice(k *kb.KB, req *sliceRequest) *kbSlice {
+// sub-KB, pruning hardware against idx, the index of k. Deterministic:
+// iteration is over catalog order and sorted sets only.
+func computeSlice(k *kb.KB, req *sliceRequest, idx *hwIndex) *kbSlice {
 	sysIdx := make(map[string]int, len(k.Systems))
 	for i := range k.Systems {
 		sysIdx[k.Systems[i].Name] = i
@@ -481,50 +470,74 @@ func computeSlice(k *kb.KB, req *sliceRequest) *kbSlice {
 		}
 	}
 
-	keepHw := pruneHardware(k, inCone, ruleAtoms, ruleKept, mandatoryHw, req.restrictedKinds)
+	keepHw := pruneHardware(idx, k, inCone, ruleAtoms, ruleKept, mandatoryHw, req.restrictedKinds)
 
-	sub := &kb.KB{Workloads: k.Workloads, Orders: k.Orders}
+	// The slice id hashes the kept names, so it is known before the
+	// sub-KB exists: an id this KB has already sliced to reuses its
+	// sub-KB instead of building an identical one, and a new sub-KB
+	// shares its systems and rules with earlier slices of the same cone.
+	h := sha256.New()
+	cone := make([]byte, (len(k.Systems)+len(k.Rules)+7)/8)
+	systemsKept, rulesKept := 0, 0
 	for i := range k.Systems {
 		if inCone[i] {
-			sub.Systems = append(sub.Systems, k.Systems[i])
+			io.WriteString(h, k.Systems[i].Name)
+			h.Write([]byte{0})
+			cone[i/8] |= 1 << (i % 8)
+			systemsKept++
 		}
 	}
-	for i := range k.Hardware {
-		if keepHw[i] {
-			sub.Hardware = append(sub.Hardware, k.Hardware[i])
-		}
+	h.Write([]byte{1})
+	for _, i := range keepHw {
+		io.WriteString(h, k.Hardware[i].Name)
+		h.Write([]byte{0})
 	}
+	h.Write([]byte{1})
 	for ri := range k.Rules {
 		if ruleKept[ri] {
-			sub.Rules = append(sub.Rules, k.Rules[ri])
+			io.WriteString(h, k.Rules[ri].Name)
+			h.Write([]byte{0})
+			b := len(k.Systems) + ri
+			cone[b/8] |= 1 << (b % 8)
+			rulesKept++
 		}
 	}
+	sum := h.Sum(nil)
+	id := hex.EncodeToString(sum[:8])
 
-	sl := &kbSlice{
+	sub, _ := idx.subs.get(id, func() *kb.KB {
+		parts, _ := idx.cones.get(string(cone), func() *kb.KB {
+			parts := &kb.KB{
+				Systems: slices.Grow([]kb.System(nil), systemsKept),
+				Rules:   slices.Grow([]kb.Rule(nil), rulesKept),
+			}
+			for i := range k.Systems {
+				if inCone[i] {
+					parts.Systems = append(parts.Systems, k.Systems[i])
+				}
+			}
+			for ri := range k.Rules {
+				if ruleKept[ri] {
+					parts.Rules = append(parts.Rules, k.Rules[ri])
+				}
+			}
+			return parts
+		})
+		sub := &kb.KB{Systems: parts.Systems, Rules: parts.Rules, Workloads: k.Workloads, Orders: k.Orders}
+		sub.Hardware = slices.Grow(sub.Hardware, len(keepHw))
+		for _, i := range keepHw {
+			sub.Hardware = append(sub.Hardware, k.Hardware[i])
+		}
+		return sub
+	})
+	return &kbSlice{
+		id:        id,
 		req:       req,
 		sub:       sub,
-		systemsIn: len(k.Systems), systemsKept: len(sub.Systems),
-		rulesIn: len(k.Rules), rulesKept: len(sub.Rules),
-		skusIn: len(k.Hardware), skusKept: len(sub.Hardware),
+		systemsIn: len(k.Systems), systemsKept: systemsKept,
+		rulesIn: len(k.Rules), rulesKept: rulesKept,
+		skusIn: len(k.Hardware), skusKept: len(keepHw),
 	}
-	h := sha256.New()
-	for _, s := range sub.Systems {
-		h.Write([]byte(s.Name))
-		h.Write([]byte{0})
-	}
-	h.Write([]byte{1})
-	for _, hw := range sub.Hardware {
-		h.Write([]byte(hw.Name))
-		h.Write([]byte{0})
-	}
-	h.Write([]byte{1})
-	for _, r := range sub.Rules {
-		h.Write([]byte(r.Name))
-		h.Write([]byte{0})
-	}
-	sum := h.Sum(nil)
-	sl.id = hex.EncodeToString(sum[:8])
-	return sl
 }
 
 // dropComponentsOrKeep partitions the unkept rules into connected
@@ -650,17 +663,19 @@ func smallerBetterQuant(kind kb.HardwareKind, res kb.Resource) bool {
 	return kind == kb.KindSwitch && res == kb.ResPortCount
 }
 
-// pruneHardware drops dominated SKUs per kind. Candidates are grouped
-// by their signature over the capabilities the sliced encoding can
-// observe (cone systems' RequiresCaps, kept rules' cap atoms, and CXL
-// for servers — the memory model reads it); within a group, capability
-// semantics are identical, so a SKU that is no better on any quantity
-// axis and no cheaper than a surviving SKU can never change a verdict,
-// an optimum, or a Pareto frontier. Kinds the scenario restricts
-// (pinned/allow-listed) keep exactly their restricted set; mandatory
-// SKUs (pins, rule mentions) always survive.
-func pruneHardware(k *kb.KB, inCone []bool, ruleAtoms [][]string, ruleKept []bool,
-	mandatory map[string]bool, restricted map[kb.HardwareKind]bool) []bool {
+// pruneHardware drops dominated SKUs per kind and returns the kept
+// catalog indices in ascending order. Candidates are grouped by the
+// capabilities the sliced encoding can observe (cone systems'
+// RequiresCaps, kept rules' cap atoms, and CXL for servers — the memory
+// model reads it); within a group, capability semantics are identical,
+// so a SKU that is no better on any quantity axis and no cheaper than a
+// surviving SKU can never change a verdict, an optimum, or a Pareto
+// frontier. Kinds the scenario restricts (pinned/allow-listed) keep
+// exactly their restricted set; mandatory SKUs (pins, rule mentions)
+// always survive but never dominate. The per-kind survivors come from
+// the index's skyline memo (hwindex.go).
+func pruneHardware(idx *hwIndex, k *kb.KB, inCone []bool, ruleAtoms [][]string, ruleKept []bool,
+	mandatory map[string]bool, restricted map[kb.HardwareKind]bool) []int32 {
 
 	observable := map[kb.HardwareKind]map[kb.Capability]bool{
 		kb.KindSwitch: {}, kb.KindNIC: {}, kb.KindServer: {kb.CapCXL: true},
@@ -691,86 +706,30 @@ func pruneHardware(k *kb.KB, inCone []bool, ruleAtoms [][]string, ruleKept []boo
 		}
 	}
 
-	keep := make([]bool, len(k.Hardware))
-	type group struct{ kept []int } // surviving SKU indices, cost-ascending
-	groups := map[string]*group{}
-	sig := func(h *kb.Hardware) string {
-		obs := observable[h.Kind]
-		var caps []string
-		for _, c := range h.Caps {
-			if obs[c] {
-				caps = append(caps, string(c))
-			}
+	idx.ready()
+	mand := map[kb.HardwareKind][]int32{}
+	for name := range mandatory {
+		if i, ok := idx.lookup(name); ok {
+			kind := k.Hardware[i].Kind
+			mand[kind] = append(mand[kind], i)
 		}
-		sort.Strings(caps)
-		return string(h.Kind) + "|" + strings.Join(caps, ",")
 	}
-	// dominates reports a ≥ b on every axis (a no worse everywhere).
-	dominates := func(a, b *kb.Hardware) bool {
-		if a.CostUSD > b.CostUSD {
-			return false
-		}
-		for res, bv := range b.Quant {
-			av := a.Q(res)
-			if smallerBetterQuant(a.Kind, res) {
-				if av > bv {
-					return false
-				}
-			} else if av < bv {
-				return false
-			}
-		}
-		for res, av := range a.Quant {
-			if _, ok := b.Quant[res]; ok {
-				continue
-			}
-			// Axis only a has: a's value must be on the good side of b's
-			// implicit zero.
-			if smallerBetterQuant(a.Kind, res) && av > 0 {
-				return false
-			}
-		}
-		return true
-	}
-
-	// Cost-ascending pass per kind: a SKU survives unless an
-	// already-surviving group member dominates it. Sorting by cost makes
-	// the surviving set a proper skyline prefix and keeps the scan
-	// near-linear; ties resolve to catalog order, so byte-identical
-	// firmware clones collapse onto the earliest listing.
-	idx := make([]int, 0, len(k.Hardware))
-	for i := range k.Hardware {
-		idx = append(idx, i)
-	}
-	sort.SliceStable(idx, func(x, y int) bool {
-		return k.Hardware[idx[x]].CostUSD < k.Hardware[idx[y]].CostUSD
-	})
-	for _, i := range idx {
-		h := &k.Hardware[i]
-		if restricted[h.Kind] {
-			keep[i] = mandatory[h.Name]
+	var keep []int32
+	for kind, ki := range idx.kinds {
+		m := mand[kind]
+		slices.Sort(m)
+		keep = append(keep, m...)
+		if restricted[kind] {
 			continue
 		}
-		if mandatory[h.Name] {
-			keep[i] = true
-			continue
-		}
-		g := groups[sig(h)]
-		if g == nil {
-			g = &group{}
-			groups[sig(h)] = g
-		}
-		dominated := false
-		for _, j := range g.kept {
-			if dominates(&k.Hardware[j], h) {
-				dominated = true
-				break
+		obs := make([]uint64, ki.words)
+		for c := range observable[kind] {
+			if b, ok := ki.capBit[c]; ok {
+				obs[b/64] |= 1 << (b % 64)
 			}
 		}
-		if !dominated {
-			keep[i] = true
-			g.kept = append(g.kept, i)
-		}
+		keep = append(keep, idx.skyline(kind, ki, obs, m)...)
 	}
+	slices.Sort(keep)
 	return keep
 }

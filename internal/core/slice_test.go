@@ -27,7 +27,7 @@ func mustSlice(t *testing.T, k *kb.KB, sc Scenario) *kbSlice {
 	if req == nil {
 		t.Fatal("slice request underivable for a known-workload scenario")
 	}
-	return computeSlice(k, req)
+	return computeSlice(k, req, newHWIndex(k, 0, &hwStats{}))
 }
 
 // TestSliceInfeasibleAgreesWithFull: a requirement nothing provides

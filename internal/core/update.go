@@ -103,6 +103,9 @@ func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 		base *compiled
 	}
 	fresh := make([]rebuilt, 0, len(keys))
+	// One hardware index serves every re-slice below and becomes the
+	// engine's index at the swap; it builds only if some base is sliced.
+	idx := newHWIndex(newKB, 0, &e.hwStats)
 	for _, key := range keys {
 		ob := outgoing[key]
 		// Sliced bases recompute their cone under the incoming KB: the
@@ -116,7 +119,7 @@ func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 		compileKB := newKB
 		newKey := ob.sc.fingerprint()
 		if ob.sliceReq != nil {
-			newSlice = computeSlice(newKB, ob.sliceReq)
+			newSlice = computeSlice(newKB, ob.sliceReq, idx)
 			compileKB = newSlice.sub
 			newKey += sliceKeySuffix(newSlice)
 		}
@@ -172,8 +175,9 @@ func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 		e.bases[rb.key] = rb.base
 		e.baseOrder = append(e.baseOrder, rb.key)
 	}
+	idx.gen = e.kbGen
+	e.resetSlicing(idx)
 	e.mu.Unlock()
-	e.invalidateSliceMemo()
 
 	// Rewrite the disk tier and refill clone pools off the lock. The
 	// rewrite reuses each shape's snapshot path, so the files that just

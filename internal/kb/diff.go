@@ -27,52 +27,21 @@ func (d DiffEntry) String() string {
 // compendium against the current one sees exactly which encodings were
 // added, removed, or modified. Entries are compared by their canonical
 // JSON serialization, so field order and map iteration order don't
-// produce phantom changes.
+// produce phantom changes. Linear in the KB sizes: each section indexes
+// its names once, and entries two KBs share by reference (a one-rule
+// edit keeps the Hardware slice) are equal without serializing them.
 func Diff(old, new *KB) []DiffEntry {
 	var out []DiffEntry
-
-	out = append(out, diffSection("system",
-		namesOf(len(old.Systems), func(i int) string { return old.Systems[i].Name }),
-		namesOf(len(new.Systems), func(i int) string { return new.Systems[i].Name }),
-		func(name string) (any, any) {
-			return old.SystemByName(name), new.SystemByName(name)
-		})...)
-
-	out = append(out, diffSection("hardware",
-		namesOf(len(old.Hardware), func(i int) string { return old.Hardware[i].Name }),
-		namesOf(len(new.Hardware), func(i int) string { return new.Hardware[i].Name }),
-		func(name string) (any, any) {
-			return old.HardwareByName(name), new.HardwareByName(name)
-		})...)
-
-	out = append(out, diffSection("workload",
-		namesOf(len(old.Workloads), func(i int) string { return old.Workloads[i].Name }),
-		namesOf(len(new.Workloads), func(i int) string { return new.Workloads[i].Name }),
-		func(name string) (any, any) {
-			return old.WorkloadByName(name), new.WorkloadByName(name)
-		})...)
-
-	ruleByName := func(k *KB, name string) any {
-		for i := range k.Rules {
-			if k.Rules[i].Name == name {
-				return &k.Rules[i]
-			}
-		}
-		return (*Rule)(nil)
-	}
-	out = append(out, diffSection("rule",
-		namesOf(len(old.Rules), func(i int) string { return old.Rules[i].Name }),
-		namesOf(len(new.Rules), func(i int) string { return new.Rules[i].Name }),
-		func(name string) (any, any) {
-			return ruleByName(old, name), ruleByName(new, name)
-		})...)
-
-	out = append(out, diffSection("order",
-		namesOf(len(old.Orders), func(i int) string { return old.Orders[i].Dimension }),
-		namesOf(len(new.Orders), func(i int) string { return new.Orders[i].Dimension }),
-		func(name string) (any, any) {
-			return old.OrderByDimension(name), new.OrderByDimension(name)
-		})...)
+	out = diffSection(out, "system", old.Systems, new.Systems,
+		func(s *System) string { return s.Name })
+	out = diffSection(out, "hardware", old.Hardware, new.Hardware,
+		func(h *Hardware) string { return h.Name })
+	out = diffSection(out, "workload", old.Workloads, new.Workloads,
+		func(w *Workload) string { return w.Name })
+	out = diffSection(out, "rule", old.Rules, new.Rules,
+		func(r *Rule) string { return r.Name })
+	out = diffSection(out, "order", old.Orders, new.Orders,
+		func(o *OrderSpec) string { return o.Dimension })
 
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -87,37 +56,36 @@ func Diff(old, new *KB) []DiffEntry {
 	return out
 }
 
-func namesOf(n int, get func(int) string) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = get(i)
+// firstByName maps each name to its first entry, matching the
+// XByName lookups.
+func firstByName[T any](items []T, name func(*T) string) map[string]*T {
+	m := make(map[string]*T, len(items))
+	for i := range items {
+		if n := name(&items[i]); m[n] == nil {
+			m[n] = &items[i]
+		}
 	}
-	return out
+	return m
 }
 
-func diffSection(section string, oldNames, newNames []string,
-	lookup func(name string) (any, any)) []DiffEntry {
-	oldSet := map[string]bool{}
-	for _, n := range oldNames {
-		oldSet[n] = true
-	}
-	newSet := map[string]bool{}
-	for _, n := range newNames {
-		newSet[n] = true
-	}
-	var out []DiffEntry
-	for _, n := range oldNames {
-		if !newSet[n] {
+// diffSection appends one section's entries to out: removals in old
+// order, then additions and changes in new order.
+func diffSection[T any](out []DiffEntry, section string, oldItems, newItems []T, name func(*T) string) []DiffEntry {
+	oldBy := firstByName(oldItems, name)
+	newBy := firstByName(newItems, name)
+	for i := range oldItems {
+		if n := name(&oldItems[i]); newBy[n] == nil {
 			out = append(out, DiffEntry{section, n, "removed"})
 		}
 	}
-	for _, n := range newNames {
-		if !oldSet[n] {
+	for i := range newItems {
+		n := name(&newItems[i])
+		a, b := oldBy[n], newBy[n]
+		if a == nil {
 			out = append(out, DiffEntry{section, n, "added"})
 			continue
 		}
-		a, b := lookup(n)
-		if canonicalJSON(a) != canonicalJSON(b) {
+		if a != b && canonicalJSON(a) != canonicalJSON(b) {
 			out = append(out, DiffEntry{section, n, "changed"})
 		}
 	}

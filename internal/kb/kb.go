@@ -333,10 +333,17 @@ func (k *KB) Merge(other *KB) error {
 		}
 		k.Systems = append(k.Systems, other.Systems[i])
 	}
+	// Hardware is the section that scales (50k-SKU catalogs), so its
+	// duplicates are checked against a name set.
+	hwNames := make(map[string]bool, len(k.Hardware)+len(other.Hardware))
+	for i := range k.Hardware {
+		hwNames[k.Hardware[i].Name] = true
+	}
 	for i := range other.Hardware {
-		if k.HardwareByName(other.Hardware[i].Name) != nil {
+		if hwNames[other.Hardware[i].Name] {
 			return fmt.Errorf("kb: duplicate hardware %q", other.Hardware[i].Name)
 		}
+		hwNames[other.Hardware[i].Name] = true
 		k.Hardware = append(k.Hardware, other.Hardware[i])
 	}
 	for i := range other.Workloads {

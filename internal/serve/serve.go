@@ -674,22 +674,25 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 // CacheStatsJSON is the /statsz wire form of core.CacheStats.
 type CacheStatsJSON struct {
-	Size          int   `json:"size"`
-	Capacity      int   `json:"capacity"`
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	DiskHits      int64 `json:"disk_hits"`
-	DiskMisses    int64 `json:"disk_misses"`
-	DiskWrites    int64 `json:"disk_writes"`
-	DiskEvictions int64 `json:"disk_evictions"`
-	DiskCorrupt   int64 `json:"disk_corrupt"`
-	DiskStale     int64 `json:"disk_stale"`
-	PoolHits      int64 `json:"pool_hits"`
-	PoolMisses    int64 `json:"pool_misses"`
-	SliceComputed int64 `json:"slice_computed"`
-	SliceHits     int64 `json:"slice_hits"`
-	SliceSKUsIn   int64 `json:"slice_skus_in"`
-	SliceSKUsKept int64 `json:"slice_skus_kept"`
+	Size            int   `json:"size"`
+	Capacity        int   `json:"capacity"`
+	Hits            int64 `json:"hits"`
+	Misses          int64 `json:"misses"`
+	DiskHits        int64 `json:"disk_hits"`
+	DiskMisses      int64 `json:"disk_misses"`
+	DiskWrites      int64 `json:"disk_writes"`
+	DiskEvictions   int64 `json:"disk_evictions"`
+	DiskCorrupt     int64 `json:"disk_corrupt"`
+	DiskStale       int64 `json:"disk_stale"`
+	PoolHits        int64 `json:"pool_hits"`
+	PoolMisses      int64 `json:"pool_misses"`
+	SliceComputed   int64 `json:"slice_computed"`
+	SliceHits       int64 `json:"slice_hits"`
+	SliceSKUsIn     int64 `json:"slice_skus_in"`
+	SliceSKUsKept   int64 `json:"slice_skus_kept"`
+	SkylineComputed int64 `json:"skyline_computed"`
+	SkylineHits     int64 `json:"skyline_hits"`
+	HWIndexBuilds   int64 `json:"hw_index_builds"`
 }
 
 // StatsResponse is the /statsz body.
@@ -726,6 +729,8 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 			PoolHits: cs.PoolHits, PoolMisses: cs.PoolMisses,
 			SliceComputed: cs.SliceComputed, SliceHits: cs.SliceHits,
 			SliceSKUsIn: cs.SliceSKUsIn, SliceSKUsKept: cs.SliceSKUsKept,
+			SkylineComputed: cs.SkylineComputed, SkylineHits: cs.SkylineHits,
+			HWIndexBuilds: cs.HWIndexBuilds,
 		},
 		Modes: s.stats.snapshot(),
 	})
