@@ -134,11 +134,13 @@ scale-diff:
 # untrusted-bytes contract (typed errors, no panics, no OOM) is
 # exercised on every gate, not only in dedicated fuzz sessions, plus the
 # MaxSAT bounds fuzzer (random weighted objectives must yield exact,
-# witnessed, unbeatable optima).
+# witnessed, unbeatable optima) and the HTTP query boundary (every /v1
+# body answers 200, 400 or 504 with a well-formed body, never a 500).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRestoreSnapshot -fuzztime=10s ./internal/sat
 	$(GO) test -run=NONE -fuzz=FuzzDecodeBase -fuzztime=10s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzMaxSATBounds -fuzztime=10s ./internal/core
+	$(GO) test -run=NONE -fuzz=FuzzQueryRequest -fuzztime=10s ./internal/serve
 
 # formula-size pins the vars/clauses of representative compiled bases
 # (the §5.1 seed shapes, a cost-capped shape, a 5k-SKU slice), so an

@@ -572,10 +572,13 @@ func BenchmarkOptimize(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := eng.OptimizeWithStrategyCtx(context.Background(), sc, objs, netarch.Budget{}, strat.s)
+				out, err := eng.Do(context.Background(), netarch.Query{
+					Kind: netarch.QueryOptimize, Scenario: sc, Objectives: objs, Strategy: strat.s,
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
+				res := out.Optimum
 				if res.Verdict != netarch.Feasible || res.Approximate {
 					b.Fatal("want a certified optimum")
 				}
@@ -803,8 +806,8 @@ func BenchmarkCompile(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Enumerate(…, 0) compiles and immediately returns no designs.
-		if _, err := eng.Enumerate(core.Scenario{Workloads: []string{"inference_app"}}, 0); err != nil {
+		// EnumerateCtx(…, 0) compiles and immediately returns no designs.
+		if _, err := eng.EnumerateCtx(context.Background(), core.Scenario{Workloads: []string{"inference_app"}}, 0, core.Budget{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1018,7 +1021,7 @@ func BenchmarkDeltaRecompile(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Enumerate(sc, 0); err != nil {
+			if _, err := eng.EnumerateCtx(context.Background(), sc, 0, netarch.Budget{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1029,7 +1032,7 @@ func BenchmarkDeltaRecompile(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eng.Enumerate(sc, 0); err != nil { // warm the base
+		if _, err := eng.EnumerateCtx(context.Background(), sc, 0, netarch.Budget{}); err != nil { // warm the base
 			b.Fatal(err)
 		}
 		// Pre-build the two alternating revisions: constructing the

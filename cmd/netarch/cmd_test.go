@@ -215,16 +215,65 @@ func TestCmdSolveModes(t *testing.T) {
 
 func TestCmdCheckFlow(t *testing.T) {
 	out := capture(t, func() error {
-		return cmdCheck([]string{
+		return cmdSolve([]string{
 			"-systems", "linux,cubic,ecmp,tcp,ovs,pingmesh,simon",
 			"-switch", "Aristo EX-32x100G",
 			"-nic", "Marvella SoC-100G",
 			"-server", "Suprima HD-128c",
 			"-workloads", "inference_app",
-		})
+		}, "check")
 	})
 	if !strings.Contains(out, "FEASIBLE") && !strings.Contains(out, "INFEASIBLE") {
 		t.Errorf("check output wrong:\n%s", out)
+	}
+}
+
+// TestCmdCheckSharedFlags: check takes the flags every other query mode
+// takes (it once rejected -slice, -cache-stats, -cache-dir and -workers).
+func TestCmdCheckSharedFlags(t *testing.T) {
+	out := capture(t, func() error {
+		return cmdSolve([]string{
+			"-systems", "andromeda,everflow,homa,pingmesh,quic,simon,snap,swift,wcmp",
+			"-switch", "Brocadia DB-32x200G-LR", "-nic", "Marvella SoC-100G", "-server", "Dellora RX-96c",
+			"-require", "congestion_control",
+			"-slice", "on", "-cache-stats", "-workers", "1", "-cache-dir", t.TempDir(),
+		}, "check")
+	})
+	if !strings.HasPrefix(out, "FEASIBLE\n") || !strings.Contains(out, "\ncache: ") {
+		t.Errorf("check with the shared flags must print the verdict and the cache line:\n%s", out)
+	}
+}
+
+// TestCmdSolveRejectsUnreadFlags: a mode refuses the flags it would
+// ignore instead of accepting them silently.
+func TestCmdSolveRejectsUnreadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		mode string
+		args []string
+	}{
+		{"synth", []string{"-systems", "x"}},
+		{"explain", []string{"-server", "x"}},
+		{"check", []string{"-objectives", "cost"}},
+		{"check", []string{"-pareto"}},
+		{"suggest", []string{"-md"}},
+		{"multi", []string{"-strategy", "linear"}},
+		{"multi", []string{"-pareto"}},
+	} {
+		var err error
+		if tc.mode == "multi" {
+			err = cmdMulti(tc.args)
+		} else {
+			err = cmdSolve(tc.args, tc.mode)
+		}
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s %v: want an undefined-flag error, got %v", tc.mode, tc.args, err)
+		}
+	}
+	oldArgs := os.Args
+	defer func() { os.Args = oldArgs }()
+	os.Args = []string{"netarch", "synth", "-systems", "x"}
+	if code := run(); code == 0 {
+		t.Error("synth -systems must exit non-zero")
 	}
 }
 

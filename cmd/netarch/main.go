@@ -54,7 +54,8 @@ Usage:
   netarch viz <dimension>           emit a Figure 1-style ordering as Graphviz DOT
   netarch pfc [flags]               PFC buffer-dependency deadlock analysis
 
-Common synth/optimize/explain flags:
+Query flags (every query mode: synth, check, optimize, explain, suggest,
+disambiguate, multi):
   -require p1,p2      required properties
   -context k=v,...    pinned context atoms (v in {true,false})
   -workloads w1,w2    workloads to support (default: all in the KB)
@@ -62,21 +63,25 @@ Common synth/optimize/explain flags:
   -forbid s1,s2       systems that must not be deployed
   -servers N          fleet size (default 48)
   -maxcost N          hardware budget in USD
-  -objectives list    (optimize) comma list: cost,cores,systems,power,
+  -objectives list    (optimize, multi) comma list: cost,cores,systems,power,
                       ports,latency,order:<dim> — earlier entries dominate
   -strategy S         (optimize) MaxSAT descent: binary (default, tight
                       bounds under budget trips) or linear (SAT-UNSAT)
   -pareto             (optimize) enumerate the full non-dominated frontier
                       over the objectives instead of one lexicographic
                       optimum
+  -systems a,b        (check) the design's systems; -switch, -nic and
+                      -server name its hardware SKUs
+  -md                 (synth, check) print a Markdown report
 
 Resource-governance flags (synth/check/optimize/explain/suggest/disambiguate):
   -timeout D          wall-clock deadline for the query (e.g. 500ms, 2s)
   -max-conflicts N    solver conflict budget per phase (0 = unlimited)
   -max-decisions N    solver decision budget per phase (0 = unlimited)
-  -workers N          solver clones enumerating design classes in parallel
-                      (disambiguate/multi; 0 = one per CPU; results are
-                      identical whatever the worker count)
+  -workers N          solver clones enumerating design classes or Pareto
+                      cubes in parallel (disambiguate, optimize -pareto;
+                      0 = one per CPU; results are identical whatever
+                      the worker count)
   -portfolio N        race N diversified solvers per decision query
                       (synth/check/explain/multi; <=1 = off; verdicts are
                       identical whatever the width)
@@ -177,18 +182,8 @@ func run() int {
 	switch args[0] {
 	case "experiments":
 		err = cmdExperiments(args[1:])
-	case "synth":
-		err = cmdSolve(args[1:], "synth")
-	case "check":
-		err = cmdCheck(args[1:])
-	case "optimize":
-		err = cmdSolve(args[1:], "optimize")
-	case "explain":
-		err = cmdSolve(args[1:], "explain")
-	case "suggest":
-		err = cmdSolve(args[1:], "suggest")
-	case "disambiguate":
-		err = cmdSolve(args[1:], "disambiguate")
+	case "synth", "check", "optimize", "explain", "suggest", "disambiguate":
+		err = cmdSolve(args[1:], args[0])
 	case "multi":
 		err = cmdMulti(args[1:])
 	case "serve":
@@ -251,7 +246,7 @@ func cmdExperiments(args []string) error {
 }
 
 // scenarioFlags registers the common scenario flags on fs.
-func scenarioFlags(fs *flag.FlagSet) (get func() (netarch.Scenario, error), objectives *string) {
+func scenarioFlags(fs *flag.FlagSet) (get func() (netarch.Scenario, error)) {
 	require := fs.String("require", "", "comma list of required properties")
 	context := fs.String("context", "", "comma list of atom=bool context pins")
 	workloads := fs.String("workloads", "", "comma list of workloads")
@@ -262,8 +257,6 @@ func scenarioFlags(fs *flag.FlagSet) (get func() (netarch.Scenario, error), obje
 	pinServer := fs.String("pin-server", "", "pin the server SKU")
 	pinSwitch := fs.String("pin-switch", "", "pin the switch SKU")
 	pinNIC := fs.String("pin-nic", "", "pin the NIC SKU")
-	objectives = fs.String("objectives", "cost", "objectives: cost,cores,systems,order:<dim>")
-	_ = fs.Bool("md", false, "emit a Markdown report instead of plain text")
 
 	get = func() (netarch.Scenario, error) {
 		sc := netarch.Scenario{
@@ -308,7 +301,7 @@ func scenarioFlags(fs *flag.FlagSet) (get func() (netarch.Scenario, error), obje
 		}
 		return sc, nil
 	}
-	return get, objectives
+	return get
 }
 
 // budgetFlags registers the resource-governance flags on fs. Kept
@@ -333,33 +326,6 @@ func budgetFlags(fs *flag.FlagSet) (get func() netarch.Budget) {
 func workersFlag(fs *flag.FlagSet) (apply func(eng *netarch.Engine)) {
 	workers := fs.Int("workers", 0, "parallel enumeration workers (0 = one per CPU)")
 	return func(eng *netarch.Engine) { eng.SetWorkers(*workers) }
-}
-
-// portfolioFlag registers -portfolio and returns an applier that sets
-// the engine's diversified solver-race width for decision queries (see
-// Engine.SetPortfolio). Like -workers it is a pure latency knob:
-// verdicts, designs, and explanations do not depend on it for any
-// value > 1 (DESIGN.md §13).
-func portfolioFlag(fs *flag.FlagSet) (apply func(eng *netarch.Engine)) {
-	n := fs.Int("portfolio", 0, "diversified solver race width for decision queries (<=1 = off)")
-	return func(eng *netarch.Engine) { eng.SetPortfolio(*n) }
-}
-
-// sliceFlag registers -slice and returns an applier that sets the
-// engine's relevance-slicing policy (see Engine.SetSliceMode). Like
-// -workers and -portfolio it is a pure latency knob: verdicts, optima,
-// explanations, and Pareto frontiers do not depend on it (DESIGN.md
-// §16); "auto" slices only when the catalog is large enough to pay.
-func sliceFlag(fs *flag.FlagSet) (apply func(eng *netarch.Engine) error) {
-	mode := fs.String("slice", "auto", "relevance-sliced compilation: on, off, or auto")
-	return func(eng *netarch.Engine) error {
-		m, err := netarch.ParseSliceMode(*mode)
-		if err != nil {
-			return err
-		}
-		eng.SetSliceMode(m)
-		return nil
-	}
 }
 
 // cacheDirFlag registers -cache-dir and returns an applier that turns on
@@ -396,137 +362,186 @@ func splitList(s string) []string {
 	return out
 }
 
-func cmdSolve(args []string, mode string) error {
-	fs := flag.NewFlagSet(mode, flag.ContinueOnError)
-	getScenario, objectives := scenarioFlags(fs)
+// queryKinds maps each query subcommand onto the engine query it runs;
+// optimize -pareto asks QueryPareto instead.
+var queryKinds = map[string]netarch.QueryKind{
+	"synth":        netarch.QuerySynthesize,
+	"check":        netarch.QueryCheck,
+	"explain":      netarch.QueryExplain,
+	"optimize":     netarch.QueryOptimize,
+	"suggest":      netarch.QuerySuggest,
+	"disambiguate": netarch.QueryDisambiguate,
+}
+
+// queryLimits caps the correction sets suggest proposes and the classes
+// disambiguate enumerates.
+var queryLimits = map[string]int{"suggest": 5, "disambiguate": 16}
+
+// queryFlags registers the one flag set every query mode shares — the
+// scenario, the budget and the engine knobs — plus only the flags its
+// mode reads: check's design, optimize's and multi's objectives,
+// optimize's strategy and -pareto. After fs.Parse, setup builds the
+// engine the knobs configure and the query mode asks.
+func queryFlags(fs *flag.FlagSet, mode string) (setup func() (*netarch.Engine, netarch.Query, error)) {
+	getScenario := scenarioFlags(fs)
 	getBudget := budgetFlags(fs)
 	setWorkers := workersFlag(fs)
-	setPortfolio := portfolioFlag(fs)
-	setSlice := sliceFlag(fs)
 	setCacheDir := cacheDirFlag(fs)
+	// Like -workers, -portfolio and -slice are pure latency knobs: no
+	// answer depends on them (DESIGN.md §13, §16).
+	portfolio := fs.Int("portfolio", 0, "diversified solver race width for decision queries (<=1 = off)")
+	sliceMode := fs.String("slice", "auto", "relevance-sliced compilation: on, off, or auto")
+	var systems, swName, nicName, srvName, objectives *string
+	strategy, pareto := new(string), new(bool)
+	switch mode {
+	case "check":
+		systems = fs.String("systems", "", "comma list of deployed systems")
+		swName = fs.String("switch", "", "selected switch SKU")
+		nicName = fs.String("nic", "", "selected NIC SKU")
+		srvName = fs.String("server", "", "selected server SKU")
+	case "optimize":
+		strategy = fs.String("strategy", "", "MaxSAT descent strategy: binary (default) or linear")
+		pareto = fs.Bool("pareto", false, "enumerate the Pareto frontier instead of one lexicographic optimum")
+		fallthrough
+	case "multi":
+		objectives = fs.String("objectives", "cost", "objectives: cost,cores,systems,power,ports,latency,order:<dim>")
+	}
+	return func() (*netarch.Engine, netarch.Query, error) {
+		q := netarch.Query{Kind: queryKinds[mode], Limit: queryLimits[mode], Budget: getBudget()}
+		var err error
+		if q.Scenario, err = getScenario(); err != nil {
+			return nil, q, err
+		}
+		if systems != nil {
+			q.Design = &netarch.Design{Systems: splitList(*systems), Hardware: map[netarch.HardwareKind]string{}}
+			for kind, name := range map[netarch.HardwareKind]string{
+				netarch.KindSwitch: *swName, netarch.KindNIC: *nicName, netarch.KindServer: *srvName,
+			} {
+				if name != "" {
+					q.Design.Hardware[kind] = name
+				}
+			}
+		}
+		if objectives != nil {
+			if q.Objectives, err = parseObjectives(*objectives); err != nil {
+				return nil, q, err
+			}
+		}
+		if q.Strategy, err = netarch.ParseOptimizeStrategy(*strategy); err != nil {
+			return nil, q, err
+		}
+		if *pareto {
+			q.Kind = netarch.QueryPareto
+		}
+		slice, err := netarch.ParseSliceMode(*sliceMode)
+		if err != nil {
+			return nil, q, err
+		}
+		eng, err := netarch.NewEngine(netarch.CaseStudy())
+		if err != nil {
+			return nil, q, err
+		}
+		setWorkers(eng)
+		eng.SetPortfolio(*portfolio)
+		eng.SetSliceMode(slice)
+		if err := setCacheDir(eng); err != nil {
+			return nil, q, err
+		}
+		return eng, q, nil
+	}
+}
+
+// cmdSolve runs one query subcommand: build the query from the shared
+// flags, answer it through Engine.Do, print the result.
+func cmdSolve(args []string, mode string) error {
+	fs := flag.NewFlagSet(mode, flag.ContinueOnError)
+	setup := queryFlags(fs, mode)
+	asMarkdown := new(bool)
+	if mode == "synth" || mode == "check" {
+		asMarkdown = fs.Bool("md", false, "emit a Markdown report instead of plain text")
+	}
 	cacheStats := fs.Bool("cache-stats", false, "print compiled-base cache stats after the query")
-	strategy := fs.String("strategy", "", "MaxSAT descent strategy: binary (default) or linear")
-	pareto := fs.Bool("pareto", false, "enumerate the Pareto frontier instead of one lexicographic optimum")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	asMarkdown := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "md" && f.Value.String() == "true" {
-			asMarkdown = true
-		}
-	})
-	sc, err := getScenario()
+	eng, q, err := setup()
 	if err != nil {
 		return err
 	}
-	budget := getBudget()
 	ctx, stopSignals := queryContext()
 	defer stopSignals()
-	k := netarch.CaseStudy()
-	eng, err := netarch.NewEngine(k)
+	// Do returns a result together with an error only for suggest's
+	// partial correction sets, which are still worth printing; the
+	// non-zero exit still reports the exhaustion.
+	res, err := eng.Do(ctx, q)
+	if res != nil && *asMarkdown {
+		err = printMarkdown(ctx, eng, q, res.Report)
+	} else if res != nil {
+		printResult(q, res)
+	}
 	if err != nil {
 		return err
-	}
-	setWorkers(eng)
-	setPortfolio(eng)
-	if err := setSlice(eng); err != nil {
-		return err
-	}
-	if err := setCacheDir(eng); err != nil {
-		return err
-	}
-	switch mode {
-	case "synth":
-		rep, err := eng.SynthesizeCtx(ctx, sc, budget)
-		if err != nil {
-			return err
-		}
-		if asMarkdown {
-			fmt.Print(report.Render(k, sc, rep, report.Options{ShowNotes: true}))
-			if rep.Verdict == netarch.Infeasible {
-				sugs, err := eng.SuggestCtx(ctx, sc, 3, budget)
-				if err != nil {
-					return err
-				}
-				fmt.Print(report.RenderSuggestions(sugs))
-			}
-			return nil
-		}
-		printReport(rep)
-	case "explain":
-		ex, err := eng.ExplainCtx(ctx, sc, budget)
-		if err != nil {
-			return err
-		}
-		if ex == nil {
-			fmt.Println("FEASIBLE: nothing to explain")
-		} else {
-			fmt.Print(ex.String())
-		}
-	case "suggest":
-		sugs, err := eng.SuggestCtx(ctx, sc, 5, budget)
-		if err != nil {
-			// Partial suggestions on a tripped budget are still worth
-			// printing; the non-zero exit still reports the exhaustion.
-			for i, s := range sugs {
-				fmt.Printf("option %d:\n%s", i+1, s)
-			}
-			return err
-		}
-		if sugs == nil {
-			fmt.Println("FEASIBLE: nothing to relax")
-			return nil
-		}
-		for i, s := range sugs {
-			fmt.Printf("option %d:\n%s", i+1, s)
-		}
-	case "disambiguate":
-		d, err := eng.DisambiguateCtx(ctx, sc, 16, budget)
-		if err != nil {
-			return err
-		}
-		fmt.Print(d.String())
-	case "optimize":
-		objs, err := parseObjectives(*objectives)
-		if err != nil {
-			return err
-		}
-		strat, err := netarch.ParseOptimizeStrategy(*strategy)
-		if err != nil {
-			return err
-		}
-		if *pareto {
-			res, err := eng.ParetoWithStrategyCtx(ctx, sc, objs, budget, strat)
-			if err != nil {
-				return err
-			}
-			printPareto(res, objs)
-		} else {
-			res, err := eng.OptimizeWithStrategyCtx(ctx, sc, objs, budget, strat)
-			if err != nil {
-				return err
-			}
-			printReport(&res.Report)
-			if res.Verdict == netarch.Feasible {
-				for i, v := range res.ObjectiveValues {
-					if res.LowerBounds[i] == v {
-						fmt.Printf("objective[%d] %s = %d (certified)\n", i, objs[i].Kind, v)
-					} else {
-						fmt.Printf("objective[%d] %s in [%d, %d]\n",
-							i, objs[i].Kind, res.LowerBounds[i], v)
-					}
-				}
-				if res.Approximate {
-					fmt.Printf("approximate: optimization stopped on %s\n", res.ApproxCause)
-				}
-			}
-		}
 	}
 	if *cacheStats {
 		fmt.Printf("cache: %s\n", eng.CacheStats())
 	}
 	return nil
+}
+
+// printMarkdown renders a synth or check report as Markdown; an
+// infeasible synth also lists up to three requirement relaxations.
+func printMarkdown(ctx context.Context, eng *netarch.Engine, q netarch.Query, rep *netarch.Report) error {
+	fmt.Print(report.Render(eng.KB(), q.Scenario, rep, report.Options{ShowNotes: true}))
+	if q.Kind != netarch.QuerySynthesize || rep.Verdict != netarch.Infeasible {
+		return nil
+	}
+	sugs, err := eng.Do(ctx, netarch.Query{Kind: netarch.QuerySuggest, Scenario: q.Scenario, Limit: 3, Budget: q.Budget})
+	if err != nil {
+		return err
+	}
+	fmt.Print(report.RenderSuggestions(sugs.Suggestions))
+	return nil
+}
+
+// printResult renders one answer in the CLI's text form.
+func printResult(q netarch.Query, res *netarch.Result) {
+	switch q.Kind {
+	case netarch.QuerySynthesize, netarch.QueryCheck:
+		printReport(res.Report)
+	case netarch.QueryExplain:
+		if ex := res.Report.Explanation; ex != nil {
+			fmt.Print(ex.String())
+		} else {
+			fmt.Println("FEASIBLE: nothing to explain")
+		}
+	case netarch.QuerySuggest:
+		if res.Suggestions == nil {
+			fmt.Println("FEASIBLE: nothing to relax")
+		}
+		for i, s := range res.Suggestions {
+			fmt.Printf("option %d:\n%s", i+1, s)
+		}
+	case netarch.QueryDisambiguate:
+		fmt.Print(res.Disambiguation.String())
+	case netarch.QueryPareto:
+		printPareto(res.Pareto, q.Objectives)
+	case netarch.QueryOptimize:
+		opt := res.Optimum
+		printReport(res.Report)
+		if opt.Verdict != netarch.Feasible {
+			return
+		}
+		for i, v := range opt.ObjectiveValues {
+			if opt.LowerBounds[i] == v {
+				fmt.Printf("objective[%d] %s = %d (certified)\n", i, q.Objectives[i].Kind, v)
+			} else {
+				fmt.Printf("objective[%d] %s in [%d, %d]\n", i, q.Objectives[i].Kind, opt.LowerBounds[i], v)
+			}
+		}
+		if opt.Approximate {
+			fmt.Printf("approximate: optimization stopped on %s\n", opt.ApproxCause)
+		}
+	}
 }
 
 // cmdMulti runs repeated rounds of synth + explain + optimize on one
@@ -535,62 +550,34 @@ func cmdSolve(args []string, mode string) error {
 // the printed timings make the amortization visible.
 func cmdMulti(args []string) error {
 	fs := flag.NewFlagSet("multi", flag.ContinueOnError)
-	getScenario, objectives := scenarioFlags(fs)
-	getBudget := budgetFlags(fs)
-	setWorkers := workersFlag(fs)
-	setPortfolio := portfolioFlag(fs)
-	setSlice := sliceFlag(fs)
-	setCacheDir := cacheDirFlag(fs)
+	setup := queryFlags(fs, "multi")
 	rounds := fs.Int("rounds", 3, "rounds of synth+explain+optimize to run")
 	cacheStats := fs.Bool("cache-stats", true, "print compiled-base cache stats after the queries")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sc, err := getScenario()
+	eng, q, err := setup()
 	if err != nil {
 		return err
 	}
-	objs, err := parseObjectives(*objectives)
-	if err != nil {
-		return err
-	}
-	budget := getBudget()
 	ctx, stopSignals := queryContext()
 	defer stopSignals()
-	eng, err := netarch.NewEngine(netarch.CaseStudy())
-	if err != nil {
-		return err
-	}
-	setWorkers(eng)
-	setPortfolio(eng)
-	if err := setSlice(eng); err != nil {
-		return err
-	}
-	if err := setCacheDir(eng); err != nil {
-		return err
-	}
 	for r := 1; r <= *rounds; r++ {
-		start := time.Now()
-		rep, err := eng.SynthesizeCtx(ctx, sc, budget)
-		if err != nil {
-			return err
+		var verdict netarch.Verdict
+		var took [3]time.Duration
+		for i, kind := range []netarch.QueryKind{netarch.QuerySynthesize, netarch.QueryExplain, netarch.QueryOptimize} {
+			q.Kind = kind
+			start := time.Now()
+			res, err := eng.Do(ctx, q)
+			if err != nil {
+				return err
+			}
+			took[i] = time.Since(start).Round(time.Microsecond)
+			if kind == netarch.QuerySynthesize {
+				verdict = res.Report.Verdict
+			}
 		}
-		synthDur := time.Since(start)
-		start = time.Now()
-		if _, err := eng.ExplainCtx(ctx, sc, budget); err != nil {
-			return err
-		}
-		explainDur := time.Since(start)
-		start = time.Now()
-		if _, err := eng.OptimizeCtx(ctx, sc, objs, budget); err != nil {
-			return err
-		}
-		optDur := time.Since(start)
-		fmt.Printf("round %d: %s  synth %s  explain %s  optimize %s\n",
-			r, rep.Verdict,
-			synthDur.Round(time.Microsecond),
-			explainDur.Round(time.Microsecond),
-			optDur.Round(time.Microsecond))
+		fmt.Printf("round %d: %s  synth %s  explain %s  optimize %s\n", r, verdict, took[0], took[1], took[2])
 	}
 	if *cacheStats {
 		fmt.Printf("cache: %s\n", eng.CacheStats())
@@ -666,50 +653,6 @@ func printReport(rep *netarch.Report) {
 	}
 	fmt.Printf("spent:    %d conflicts, %d decisions, %s\n",
 		rep.Spent.Conflicts, rep.Spent.Decisions, rep.Spent.Wall.Round(time.Microsecond))
-}
-
-func cmdCheck(args []string) error {
-	fs := flag.NewFlagSet("check", flag.ContinueOnError)
-	systems := fs.String("systems", "", "comma list of deployed systems")
-	swName := fs.String("switch", "", "selected switch SKU")
-	nicName := fs.String("nic", "", "selected NIC SKU")
-	srvName := fs.String("server", "", "selected server SKU")
-	getScenario, _ := scenarioFlags(fs)
-	getBudget := budgetFlags(fs)
-	setPortfolio := portfolioFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	sc, err := getScenario()
-	if err != nil {
-		return err
-	}
-	d := netarch.Design{
-		Systems:  splitList(*systems),
-		Hardware: map[netarch.HardwareKind]string{},
-	}
-	if *swName != "" {
-		d.Hardware[netarch.KindSwitch] = *swName
-	}
-	if *nicName != "" {
-		d.Hardware[netarch.KindNIC] = *nicName
-	}
-	if *srvName != "" {
-		d.Hardware[netarch.KindServer] = *srvName
-	}
-	eng, err := netarch.NewEngine(netarch.CaseStudy())
-	if err != nil {
-		return err
-	}
-	setPortfolio(eng)
-	ctx, stopSignals := queryContext()
-	defer stopSignals()
-	rep, err := eng.CheckCtx(ctx, d, sc, getBudget())
-	if err != nil {
-		return err
-	}
-	printReport(rep)
-	return nil
 }
 
 func cmdCatalog(args []string) error {

@@ -55,7 +55,7 @@ func TestParseObjectives(t *testing.T) {
 
 func TestScenarioFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	get, _ := scenarioFlags(fs)
+	get := scenarioFlags(fs)
 	err := fs.Parse([]string{
 		"-require", "congestion_control,load_balancing",
 		"-context", "deadline_tight=true,wan_dc_mix=false",
@@ -92,7 +92,7 @@ func TestScenarioFlags(t *testing.T) {
 func TestScenarioFlagsBadContext(t *testing.T) {
 	for _, bad := range []string{"novalue", "atom=maybe"} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		get, _ := scenarioFlags(fs)
+		get := scenarioFlags(fs)
 		if err := fs.Parse([]string{"-context", bad}); err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func cmdServe(args []string) error {
 	chaosSpec := fs.String("chaos", "", "fault-injection profile: seed=N,rate=F[,event=solve|conflict|both]")
 	kbFile := fs.String("kb", "", "knowledge-base file (JSON or DSL; default: built-in case study)")
 	retryAfter := fs.Duration("retry-after", 0, "backoff hint on 429/503 rejections (0 = 1s)")
-	getScenario, _ := scenarioFlags(fs)
+	getScenario := scenarioFlags(fs)
 	getBudget := budgetFlags(fs)
 	setWorkers := workersFlag(fs)
 	setCacheDir := cacheDirFlag(fs)

@@ -1,7 +1,6 @@
 package netarch_test
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,7 +9,7 @@ import (
 )
 
 // TestConcurrentQueries hammers one engine from many goroutines running
-// mixed SynthesizeCtx / CheckCtx / ExplainCtx queries, with cache
+// mixed Synthesize / Check / Explain queries, with cache
 // invalidations racing them. Under -race this is the facade-level
 // regression test for the amortization layer's isolation contract:
 // every query solves on a private clone of a shared compiled base, so
@@ -21,14 +20,13 @@ func TestConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 
 	feasible := netarch.Scenario{Require: []netarch.Property{"congestion_control"}}
 	infeasible := netarch.Scenario{
 		Context: map[string]bool{"pfc_enabled": true, "flooding_enabled": true},
 	}
 	// A witness design to re-check concurrently.
-	rep, err := eng.SynthesizeCtx(ctx, feasible, netarch.Budget{})
+	rep, err := eng.Synthesize(feasible)
 	if err != nil || rep.Verdict != netarch.Feasible {
 		t.Fatalf("seed synthesis failed: %v %v", err, rep)
 	}
@@ -45,21 +43,21 @@ func TestConcurrentQueries(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				switch (g + i) % 3 {
 				case 0:
-					r, err := eng.SynthesizeCtx(ctx, feasible, netarch.Budget{})
+					r, err := eng.Synthesize(feasible)
 					if err != nil {
 						errs <- fmt.Sprintf("synthesize: %v", err)
 					} else if r.Verdict != netarch.Feasible {
 						errs <- fmt.Sprintf("synthesize verdict flipped: %v", r.Explanation)
 					}
 				case 1:
-					r, err := eng.CheckCtx(ctx, witness, feasible, netarch.Budget{})
+					r, err := eng.Check(witness, feasible)
 					if err != nil {
 						errs <- fmt.Sprintf("check: %v", err)
 					} else if r.Verdict != netarch.Feasible {
 						errs <- fmt.Sprintf("check verdict flipped: %v", r.Explanation)
 					}
 				case 2:
-					ex, err := eng.ExplainCtx(ctx, infeasible, netarch.Budget{})
+					ex, err := eng.Explain(infeasible)
 					if err != nil {
 						errs <- fmt.Sprintf("explain: %v", err)
 					} else if ex == nil || len(ex.Conflicts) == 0 {

@@ -78,10 +78,6 @@ type Engine struct {
 	// toggles cross-query phase/activity profile reuse (SetWarmStart).
 	portfolio atomic.Int32
 	warmStart atomic.Bool
-	// optStrategy is the engine-wide default MaxSAT descent strategy
-	// for Optimize/Pareto queries (see SetOptimizeStrategy); the zero
-	// value is StrategyBinary.
-	optStrategy atomic.Int32
 	// Lifetime clause-exchange totals across portfolio queries
 	// (PortfolioStats).
 	portExported atomic.Int64
@@ -144,22 +140,11 @@ func (e *Engine) kbSnapshot() *kb.KB {
 // production use; not safe to change while queries are in flight.
 func (e *Engine) SetFaultHook(h func(sat.FaultEvent, sat.Stats) bool) { e.fault = h }
 
-// Synthesize answers the existential query: does a compliant design exist
-// for the scenario? On success the report carries a witness design; on
-// failure it carries a minimal explanation.
-func (e *Engine) Synthesize(sc Scenario) (*Report, error) {
-	return e.SynthesizeCtx(context.Background(), sc, Budget{})
-}
-
-// SynthesizeCtx is Synthesize under a context and resource budget. When
-// the context is cancelled, its deadline (or b.Timeout) expires, or a
-// work budget trips before a verdict, it returns *ErrResourceExhausted;
-// when only the explanation-minimization phase is cut short, it returns
-// the report with Explanation.Approximate set instead of failing.
-func (e *Engine) SynthesizeCtx(ctx context.Context, sc Scenario, b Budget) (*Report, error) {
-	return e.run(ctx, "synthesize", sc, b)
-}
-
+// run answers a decision query. When the context is cancelled, its
+// deadline (or b.Timeout) expires, or a work budget trips before a
+// verdict, it returns *ErrResourceExhausted; when only the explanation-
+// minimization phase is cut short, it returns the report with
+// Explanation.Approximate set instead of failing.
 func (e *Engine) run(ctx context.Context, query string, sc Scenario, b Budget) (*Report, error) {
 	c, err := e.instance(&sc)
 	if err != nil {
@@ -168,16 +153,10 @@ func (e *Engine) run(ctx context.Context, query string, sc Scenario, b Budget) (
 	return e.decide(ctx, query, b, c, nil)
 }
 
-// Check verifies a concrete design against the scenario: exactly the
+// check verifies a concrete design against the scenario: exactly the
 // design's systems deployed and its hardware selected. On violation the
 // explanation names the facts the design breaks.
-func (e *Engine) Check(design Design, sc Scenario) (*Report, error) {
-	return e.CheckCtx(context.Background(), design, sc, Budget{})
-}
-
-// CheckCtx is Check under a context and resource budget; see
-// SynthesizeCtx for the degradation contract.
-func (e *Engine) CheckCtx(ctx context.Context, design Design, sc Scenario, b Budget) (*Report, error) {
+func (e *Engine) check(ctx context.Context, design Design, sc Scenario, b Budget) (*Report, error) {
 	// Pin the design by construction: every system var gets a
 	// pin/forbid selector so explanations reference the design choices.
 	k := e.kbSnapshot()
@@ -361,20 +340,4 @@ loop:
 		ex.Conflicts = append(ex.Conflicts, ConflictItem{Name: s.name, Note: s.note})
 	}
 	return ex
-}
-
-// Explain runs Synthesize and returns only the explanation (nil when the
-// scenario is feasible).
-func (e *Engine) Explain(sc Scenario) (*Explanation, error) {
-	return e.ExplainCtx(context.Background(), sc, Budget{})
-}
-
-// ExplainCtx is Explain under a context and resource budget; see
-// SynthesizeCtx for the degradation contract.
-func (e *Engine) ExplainCtx(ctx context.Context, sc Scenario, b Budget) (*Explanation, error) {
-	rep, err := e.run(ctx, "explain", sc, b)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Explanation, nil
 }

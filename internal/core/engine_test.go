@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -362,10 +363,11 @@ func TestCheckUnknownNames(t *testing.T) {
 
 func TestEnumerateDistinctSystemSets(t *testing.T) {
 	e := mustEngine(t, miniKB())
-	designs, err := e.Enumerate(Scenario{Require: []kb.Property{"congestion_control"}}, 10)
+	res, err := e.EnumerateCtx(context.Background(), Scenario{Require: []kb.Property{"congestion_control"}}, 10, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	designs := res.Designs
 	if len(designs) < 2 {
 		t.Fatalf("expected multiple equivalence classes, got %d", len(designs))
 	}

@@ -50,8 +50,8 @@ type EnumerateResult struct {
 	Spent BudgetSpent
 }
 
-// SetWorkers sets how many cloned solvers EnumerateCtx (and the queries
-// built on it, like DisambiguateCtx) may run concurrently. n <= 0
+// SetWorkers sets how many cloned solvers enumeration, and the queries
+// built on its cubes (disambiguate, pareto), may run concurrently. n <= 0
 // restores the default, runtime.GOMAXPROCS(0). The determinism contract
 // makes the result independent of this knob — it trades CPU for latency,
 // nothing else. Safe to call concurrently; queries in flight keep the
@@ -63,10 +63,6 @@ func (e *Engine) SetWorkers(n int) {
 	e.workers.Store(int32(n))
 }
 
-// Workers reports the configured enumeration worker count; 0 means the
-// default (runtime.GOMAXPROCS(0) at query time).
-func (e *Engine) Workers() int { return int(e.workers.Load()) }
-
 func (e *Engine) enumWorkers() int {
 	if n := int(e.workers.Load()); n > 0 {
 		return n
@@ -74,31 +70,13 @@ func (e *Engine) enumWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Enumerate returns up to max distinct compliant designs, where designs
+// enumerate returns up to max distinct compliant designs, where designs
 // are distinguished by their deployed system set (hardware variations of
 // the same system set collapse into one equivalence class, per §6
-// "identify equivalence classes of system deployments"). If the solver
-// gives up mid-enumeration (only possible when a fault hook or budget is
-// armed), the partial designs are returned together with the typed
-// *ErrResourceExhausted — never silently.
-func (e *Engine) Enumerate(sc Scenario, max int) ([]*Design, error) {
-	res, err := e.EnumerateCtx(context.Background(), sc, max, Budget{})
-	if err != nil {
-		return nil, err
-	}
-	if res.Exhausted != nil {
-		// Propagate the giving-up status: callers must be able to tell
-		// "only these designs exist" from "the solver gave up".
-		return res.Designs, res.Exhausted
-	}
-	return res.Designs, nil
-}
-
-// EnumerateCtx is Enumerate under a context and resource budget. Each
-// solve — one class discovery, one canonicalization — gets a fresh phase
-// allowance. Resource exhaustion is not an error here: the partial
-// result is returned with Truncated, Reason, and Exhausted set, so
-// callers can use what was found.
+// "identify equivalence classes of system deployments"). Each solve gets
+// a fresh phase allowance. Resource exhaustion is not an error here: the
+// partial result is returned with Truncated, Reason, and Exhausted set,
+// so callers can use what was found.
 //
 // Enumeration runs on a worker pool of solver clones (see SetWorkers):
 // the compiled instance is specialized once into a pristine template,
@@ -107,7 +85,7 @@ func (e *Engine) Enumerate(sc Scenario, max int) ([]*Design, error) {
 // cube's class sequence (models included) cannot depend on what any
 // other cube (or worker) did. See EnumerateResult for the determinism
 // contract.
-func (e *Engine) EnumerateCtx(ctx context.Context, sc Scenario, max int, b Budget) (*EnumerateResult, error) {
+func (e *Engine) enumerate(ctx context.Context, sc Scenario, max int, b Budget) (*EnumerateResult, error) {
 	base, shared, err := e.baseFor(&sc)
 	if err != nil {
 		return nil, err

@@ -225,7 +225,7 @@ func TestDisambiguateLimitTruncationIncomplete(t *testing.T) {
 	// disambiguation built from it must be marked Incomplete — the old
 	// code keyed on Exhausted and reported it as complete.
 	e := mustEngine(t, miniKB())
-	d, err := e.DisambiguateCtx(context.Background(), Scenario{}, 1, Budget{})
+	d, err := e.Disambiguate(Scenario{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestDisambiguateLimitTruncationIncomplete(t *testing.T) {
 		t.Fatal("limit-truncated disambiguation must be Incomplete")
 	}
 	// A complete enumeration must stay complete.
-	full, err := e.DisambiguateCtx(context.Background(), Scenario{}, 100, Budget{})
+	full, err := e.Disambiguate(Scenario{}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestDeadlineReturnsResourceExhausted(t *testing.T) {
 		return false
 	})
 	start := time.Now()
-	rep, err := e.SynthesizeCtx(ctx, Scenario{}, Budget{})
+	rep, err := e.Do(ctx, Query{Kind: QuerySynthesize})
 	elapsed := time.Since(start)
 	if rep != nil || err == nil {
 		t.Fatalf("expired deadline must fail: rep=%v err=%v", rep, err)
@@ -73,7 +73,7 @@ func TestBudgetTimeoutMapsToDeadline(t *testing.T) {
 		}
 		return false
 	})
-	_, err := e.SynthesizeCtx(context.Background(), Scenario{}, Budget{Timeout: timeout})
+	_, err := e.Do(context.Background(), Query{Kind: QuerySynthesize, Budget: Budget{Timeout: timeout}})
 	var re *ErrResourceExhausted
 	if !errors.As(err, &re) || re.Cause != "deadline" {
 		t.Fatalf("got %v, want deadline exhaustion", err)
@@ -87,7 +87,7 @@ func TestCanceledContextRefusesToStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	e := mustEngine(t, miniKB())
-	_, err := e.SynthesizeCtx(ctx, Scenario{}, Budget{})
+	_, err := e.Do(ctx, Query{Kind: QuerySynthesize})
 	var re *ErrResourceExhausted
 	if !errors.As(err, &re) || re.Cause != "canceled" {
 		t.Fatalf("got %v, want canceled exhaustion", err)
@@ -108,10 +108,11 @@ func TestOneConflictBudgetYieldsApproximateExplanation(t *testing.T) {
 	// first conflict (verdicts at a boundary win over the budget), and
 	// the minimization phase then trips its own 1-conflict allowance.
 	e := mustEngine(t, miniKB())
-	rep, err := e.SynthesizeCtx(context.Background(), unsatScenario(), Budget{MaxConflicts: 1})
+	res, err := e.Do(context.Background(), Query{Kind: QuerySynthesize, Scenario: unsatScenario(), Budget: Budget{MaxConflicts: 1}})
 	if err != nil {
 		t.Fatalf("degraded query must not error: %v", err)
 	}
+	rep := res.Report
 	if rep.Verdict != Infeasible {
 		t.Fatalf("verdict = %v, want Infeasible", rep.Verdict)
 	}
@@ -159,7 +160,7 @@ func TestInterruptMidMinimizationDegradesNotHangs(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		rep, err = e.SynthesizeCtx(context.Background(), unsatScenario(), Budget{})
+		rep, err = e.Synthesize(unsatScenario())
 	}()
 	select {
 	case <-done:
@@ -215,7 +216,7 @@ func TestReportBudgetAccounting(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = e.SynthesizeCtx(ctx, Scenario{}, Budget{})
+	_, err = e.Do(ctx, Query{Kind: QuerySynthesize})
 	var re *ErrResourceExhausted
 	if !errors.As(err, &re) {
 		t.Fatalf("got %v, want exhaustion", err)
@@ -289,31 +290,6 @@ func TestEnumerateBudgetTruncation(t *testing.T) {
 	}
 }
 
-func TestEnumerateLegacyPropagatesExhaustion(t *testing.T) {
-	// Satellite: the legacy Enumerate must not silently return partial
-	// results — the typed error rides along with the designs found.
-	e := mustEngine(t, miniKB())
-	e.SetWorkers(1)
-	solves := 0
-	e.SetFaultHook(func(ev sat.FaultEvent, _ sat.Stats) bool {
-		if ev == sat.EventSolve {
-			solves++
-			return solves >= 2
-		}
-		return false
-	})
-	designs, err := e.Enumerate(Scenario{}, 100)
-	if err == nil {
-		t.Fatal("mid-enumeration give-up must surface an error")
-	}
-	if !IsResourceExhausted(err) {
-		t.Fatalf("error %v is not a resource exhaustion", err)
-	}
-	if len(designs) != 1 {
-		t.Fatalf("partial designs must still be returned: got %d", len(designs))
-	}
-}
-
 func TestOptimizeDegradesToApproximate(t *testing.T) {
 	// A budget trip mid-optimization keeps the best witness seen instead
 	// of discarding the query, and the [LowerBound, Value] bracket is
@@ -331,8 +307,7 @@ func TestOptimizeDegradesToApproximate(t *testing.T) {
 			}
 			return false
 		})
-		res, err := e.OptimizeCtx(context.Background(), Scenario{},
-			[]Objective{{Kind: MinimizeCost}}, Budget{})
+		res, err := e.Optimize(Scenario{}, []Objective{{Kind: MinimizeCost}})
 		if err != nil {
 			t.Fatalf("degraded optimize must not error: %v", err)
 		}
@@ -398,8 +373,7 @@ func TestOptimizeBinarySearchExhaustion(t *testing.T) {
 		}
 		return false
 	})
-	res, err := e.OptimizeWithStrategyCtx(context.Background(), Scenario{},
-		[]Objective{{Kind: MinimizeCost}}, Budget{}, StrategyBinary)
+	res, err := optimizeWith(e, Scenario{}, []Objective{{Kind: MinimizeCost}}, StrategyBinary)
 	if err != nil {
 		t.Fatalf("mid-bisection trip must degrade, not error: %v", err)
 	}
@@ -425,8 +399,7 @@ func TestOptimizeBinarySearchExhaustion(t *testing.T) {
 func TestOptimizeExhaustedBeforeVerdict(t *testing.T) {
 	e := mustEngine(t, miniKB())
 	e.SetFaultHook(func(sat.FaultEvent, sat.Stats) bool { return true })
-	_, err := e.OptimizeCtx(context.Background(), Scenario{},
-		[]Objective{{Kind: MinimizeCost}}, Budget{})
+	_, err := e.Optimize(Scenario{}, []Objective{{Kind: MinimizeCost}})
 	var re *ErrResourceExhausted
 	if !errors.As(err, &re) || re.Query != "optimize" {
 		t.Fatalf("got %v, want optimize exhaustion", err)
@@ -436,7 +409,7 @@ func TestOptimizeExhaustedBeforeVerdict(t *testing.T) {
 func TestSuggestExhaustion(t *testing.T) {
 	e := mustEngine(t, miniKB())
 	e.SetFaultHook(func(sat.FaultEvent, sat.Stats) bool { return true })
-	_, err := e.SuggestCtx(context.Background(), unsatScenario(), 3, Budget{})
+	_, err := e.Suggest(unsatScenario(), 3)
 	var re *ErrResourceExhausted
 	if !errors.As(err, &re) || re.Query != "suggest" {
 		t.Fatalf("got %v, want suggest exhaustion", err)
@@ -458,7 +431,7 @@ func TestDisambiguateIncomplete(t *testing.T) {
 		}
 		return false
 	})
-	d, err := e.DisambiguateCtx(context.Background(), Scenario{}, 16, Budget{})
+	d, err := e.Disambiguate(Scenario{}, 16)
 	if err != nil {
 		t.Fatalf("cut-short disambiguation must not error: %v", err)
 	}
@@ -488,17 +461,18 @@ func TestIsResourceExhaustedWrapping(t *testing.T) {
 }
 
 func TestGovernedQueriesMatchUngoverned(t *testing.T) {
-	// Sanity: with a background context and zero budget, the *Ctx
-	// variants must behave identically to the legacy entry points.
+	// Sanity: with a background context and zero budget, Do must behave
+	// identically to the per-kind wrapper.
 	e := mustEngine(t, miniKB())
 	legacy, err := e.Synthesize(Scenario{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxed, err := e.SynthesizeCtx(context.Background(), Scenario{}, Budget{})
+	res, err := e.Do(context.Background(), Query{Kind: QuerySynthesize})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctxed := res.Report
 	if legacy.Verdict != ctxed.Verdict {
 		t.Fatalf("verdicts diverge: %v vs %v", legacy.Verdict, ctxed.Verdict)
 	}

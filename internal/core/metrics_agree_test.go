@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"netarch/internal/intlin"
@@ -29,7 +28,6 @@ var objectiveMetric = map[ObjectiveKind]string{
 func TestMetricsAgreeWithCircuits(t *testing.T) {
 	k, cases := caseStudyQueries()
 	e := mustEngine(t, k)
-	ctx := context.Background()
 	kinds := []ObjectiveKind{MinimizeCost, MinimizePower, MinimizePorts, MinimizeCores}
 	shapes := map[string]bool{}
 	for _, q := range cases {
@@ -45,7 +43,7 @@ func TestMetricsAgreeWithCircuits(t *testing.T) {
 		shapes[shape.fingerprint()] = true
 		for _, strat := range []OptimizeStrategy{StrategyBinary, StrategyLinear} {
 			for _, kind := range kinds {
-				res, err := e.OptimizeWithStrategyCtx(ctx, q.sc, []Objective{{Kind: kind}}, Budget{}, strat)
+				res, err := optimizeWith(e, q.sc, []Objective{{Kind: kind}}, strat)
 				if err != nil {
 					t.Fatalf("%s/%v/%v: %v", q.name, strat, kind, err)
 				}
@@ -79,7 +77,7 @@ func TestMetricsAgreeWithCircuits(t *testing.T) {
 func checkPareto(t *testing.T, e *Engine, name string, sc Scenario, a, b ObjectiveKind) {
 	t.Helper()
 	pair := []ObjectiveKind{a, b}
-	pr, err := e.ParetoCtx(context.Background(), sc, []Objective{{Kind: a}, {Kind: b}}, Budget{})
+	pr, err := paretoOf(e, sc, []Objective{{Kind: a}, {Kind: b}}, StrategyBinary)
 	if err != nil {
 		t.Fatalf("%s/pareto %v: %v", name, pair, err)
 	}

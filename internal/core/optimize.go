@@ -9,8 +9,8 @@ import (
 	"netarch/internal/sat"
 )
 
-// OptimizeStrategy selects the MaxSAT descent strategy for Optimize and
-// Pareto queries; see the maxsat package for the trade-off.
+// OptimizeStrategy selects the MaxSAT descent of optimize and pareto
+// queries (Query.Strategy); see the maxsat package for the trade-off.
 type OptimizeStrategy = maxsat.Strategy
 
 // Optimization strategies.
@@ -22,19 +22,6 @@ const (
 	// witness, but the lower bound stays trivial until the final Unsat.
 	StrategyLinear = maxsat.LinearSatUnsat
 )
-
-// SetOptimizeStrategy sets the engine-wide default MaxSAT strategy used
-// by Optimize/OptimizeCtx and Pareto/ParetoCtx. Safe to call
-// concurrently; queries in flight keep the strategy they started with.
-// Per-query overrides go through OptimizeWithStrategyCtx.
-func (e *Engine) SetOptimizeStrategy(s OptimizeStrategy) {
-	e.optStrategy.Store(int32(s))
-}
-
-// OptimizeStrategy reports the engine-wide default MaxSAT strategy.
-func (e *Engine) OptimizeStrategy() OptimizeStrategy {
-	return OptimizeStrategy(e.optStrategy.Load())
-}
 
 // ParseOptimizeStrategy parses the CLI/serve strategy spelling: "binary"
 // (or empty, the default) and "linear".
@@ -69,30 +56,16 @@ type OptimizeResult struct {
 	ApproxCause string
 }
 
-// Optimize finds a design minimizing the objectives lexicographically
-// (the paper's "Optimize(latency > Hardware cost > monitoring)", Listing
-// 3). Earlier objectives dominate: each level is minimized subject to all
-// previous levels being at their minima. The result is certified: every
-// level's value is a MaxSAT optimum, not a heuristic.
-func (e *Engine) Optimize(sc Scenario, objectives []Objective) (*OptimizeResult, error) {
-	return e.OptimizeCtx(context.Background(), sc, objectives, Budget{})
-}
-
-// OptimizeCtx is Optimize under a context and resource budget, using the
-// engine's default strategy (SetOptimizeStrategy). Each objective level
+// optimize finds a design minimizing the objectives lexicographically
+// under strategy strat. Earlier objectives dominate: each level is
+// minimized subject to all previous levels being at their minima, and
+// every level's value is a MaxSAT optimum, not a heuristic. Each level
 // runs as its own budget phase. If a budget trips after feasibility is
 // established, the best design and bounds proven so far are returned
 // with Approximate set — the optimizer degrades, it does not discard
 // work. Only an exhaustion before any verdict yields
 // *ErrResourceExhausted.
-func (e *Engine) OptimizeCtx(ctx context.Context, sc Scenario, objectives []Objective, b Budget) (*OptimizeResult, error) {
-	return e.OptimizeWithStrategyCtx(ctx, sc, objectives, b, e.OptimizeStrategy())
-}
-
-// OptimizeWithStrategyCtx is OptimizeCtx with an explicit per-query
-// strategy (the serve layer threads the request's strategy here so
-// concurrent requests cannot race an engine-wide knob).
-func (e *Engine) OptimizeWithStrategyCtx(ctx context.Context, sc Scenario, objectives []Objective, b Budget, strat OptimizeStrategy) (*OptimizeResult, error) {
+func (e *Engine) optimize(ctx context.Context, sc Scenario, objectives []Objective, b Budget, strat OptimizeStrategy) (*OptimizeResult, error) {
 	c, err := e.instance(&sc)
 	if err != nil {
 		return nil, err

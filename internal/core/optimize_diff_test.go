@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -98,11 +97,11 @@ func TestOptimizeDifferential(t *testing.T) {
 					eng.e.SetWorkers(workers)
 					if eng.temp == "warm" {
 						// Prime the warm-start profile; the checked run rides it.
-						if _, err := eng.e.OptimizeWithStrategyCtx(context.Background(), tc.sc, tc.objs, Budget{}, strat); err != nil {
+						if _, err := optimizeWith(eng.e, tc.sc, tc.objs, strat); err != nil {
 							t.Fatalf("%s: priming: %v", name, err)
 						}
 					}
-					res, err := eng.e.OptimizeWithStrategyCtx(context.Background(), tc.sc, tc.objs, Budget{}, strat)
+					res, err := optimizeWith(eng.e, tc.sc, tc.objs, strat)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -157,7 +156,7 @@ func TestParetoDifferential(t *testing.T) {
 			for _, workers := range []int{1, 2, 8} {
 				name := fmt.Sprintf("%s/%s/w%d", tc.name, strat, workers)
 				e.SetWorkers(workers)
-				res, err := e.ParetoWithStrategyCtx(context.Background(), tc.sc, tc.objs, Budget{}, strat)
+				res, err := paretoOf(e, tc.sc, tc.objs, strat)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -243,7 +242,7 @@ func TestMetamorphicCostTranslation(t *testing.T) {
 func TestMetamorphicDominatedSKU(t *testing.T) {
 	objs := []Objective{{Kind: MinimizeCost}, {Kind: MinimizePower}}
 	sc := Scenario{}
-	base, err := mustEngine(t, diffKB()).Pareto(sc, objs)
+	base, err := paretoOf(mustEngine(t, diffKB()), sc, objs, StrategyBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +255,7 @@ func TestMetamorphicDominatedSKU(t *testing.T) {
 		},
 		CostUSD: 50000,
 	})
-	got, err := mustEngine(t, worse).Pareto(sc, objs)
+	got, err := paretoOf(mustEngine(t, worse), sc, objs, StrategyBinary)
 	if err != nil {
 		t.Fatal(err)
 	}

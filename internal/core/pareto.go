@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 
@@ -52,27 +51,12 @@ type ParetoResult struct {
 	Spent BudgetSpent
 }
 
-// Pareto enumerates the full Pareto frontier of the objectives over the
+// pareto enumerates the Pareto frontier of the objectives over the
 // scenario's design space: every objective vector no design can improve
 // on in one coordinate without worsening another, each with a witness.
-func (e *Engine) Pareto(sc Scenario, objectives []Objective) (*ParetoResult, error) {
-	return e.ParetoCtx(context.Background(), sc, objectives, Budget{})
-}
-
-// ParetoCtx is Pareto under a context and resource budget, using the
-// engine's default strategy. Resource exhaustion is not an error: the
-// partial frontier is returned with Complete false and Exhausted set,
-// mirroring EnumerateCtx.
-func (e *Engine) ParetoCtx(ctx context.Context, sc Scenario, objectives []Objective, b Budget) (*ParetoResult, error) {
-	return e.ParetoWithStrategyCtx(ctx, sc, objectives, b, e.OptimizeStrategy())
-}
-
-// ParetoWithStrategyCtx is ParetoCtx with an explicit per-query MaxSAT
-// strategy.
-func (e *Engine) ParetoWithStrategyCtx(ctx context.Context, sc Scenario, objectives []Objective, b Budget, strat OptimizeStrategy) (*ParetoResult, error) {
-	if len(objectives) == 0 {
-		return nil, fmt.Errorf("core: pareto requires at least one objective")
-	}
+// Resource exhaustion is not an error: the partial frontier is returned
+// with Complete false and Exhausted set, mirroring enumerate.
+func (e *Engine) pareto(ctx context.Context, sc Scenario, objectives []Objective, b Budget, strat OptimizeStrategy) (*ParetoResult, error) {
 	base, shared, err := e.baseFor(&sc)
 	if err != nil {
 		return nil, err

@@ -300,11 +300,11 @@ func compareOptimize(t *testing.T, on, off *Engine, name string, sc Scenario, ob
 // cross-validates the sliced witnesses on the full engine.
 func comparePareto(t *testing.T, on, off *Engine, name string, sc Scenario, objs []Objective) {
 	t.Helper()
-	got, err := on.Pareto(sc, objs)
+	got, err := paretoOf(on, sc, objs, StrategyBinary)
 	if err != nil {
 		t.Fatalf("%s: sliced pareto: %v", name, err)
 	}
-	want, err := off.Pareto(sc, objs)
+	want, err := paretoOf(off, sc, objs, StrategyBinary)
 	if err != nil {
 		t.Fatalf("%s: full pareto: %v", name, err)
 	}

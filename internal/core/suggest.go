@@ -54,22 +54,16 @@ func relaxable(name string) bool {
 	return false
 }
 
-// Suggest computes up to max distinct minimal correction sets for an
+// suggest computes up to max distinct minimal correction sets for an
 // infeasible scenario. It returns nil (no error) when the scenario is
 // already feasible. When even the non-relaxable facts conflict on their
 // own, it returns an error — the knowledge base itself is contradictory,
-// which Suggest cannot fix.
-func (e *Engine) Suggest(sc Scenario, max int) ([]*Suggestion, error) {
-	return e.SuggestCtx(context.Background(), sc, max, Budget{})
-}
-
-// SuggestCtx is Suggest under a context and resource budget. Each grow
-// pass gets a fresh phase allowance. When a budget trips before
-// feasibility of the scenario (or of the hard facts alone) is settled,
-// it returns *ErrResourceExhausted; when it trips mid-enumeration, the
-// correction sets found so far are returned alongside the typed error —
-// partial suggestions are still useful.
-func (e *Engine) SuggestCtx(ctx context.Context, sc Scenario, max int, b Budget) ([]*Suggestion, error) {
+// which suggest cannot fix. Each grow pass gets a fresh phase allowance.
+// When a budget trips before feasibility of the scenario (or of the hard
+// facts alone) is settled, it returns *ErrResourceExhausted; when it
+// trips mid-enumeration, the correction sets found so far are returned
+// alongside the typed error — partial suggestions are still useful.
+func (e *Engine) suggest(ctx context.Context, sc Scenario, max int, b Budget) ([]*Suggestion, error) {
 	c, err := e.instance(&sc)
 	if err != nil {
 		return nil, err
@@ -249,31 +243,26 @@ func (d *Disambiguation) String() string {
 	return b.String()
 }
 
-// Disambiguate enumerates up to limit compliant design classes and
+// disambiguate enumerates up to limit compliant design classes and
 // reports where they disagree: the roles with multiple viable systems,
 // which order dimensions could settle each fork, and which context atoms
-// are still free.
-func (e *Engine) Disambiguate(sc Scenario, limit int) (*Disambiguation, error) {
-	return e.DisambiguateCtx(context.Background(), sc, limit, Budget{})
-}
-
-// DisambiguateCtx is Disambiguate under a context and resource budget.
+// are still free. It also returns the enumeration it was built from.
 // When the enumeration is cut short — by the class limit or by a budget
 // trip — the report is built from the classes found and marked
 // Incomplete rather than discarded. A limit-truncated enumeration
 // (Truncated with a nil Exhausted) is a provably partial class set, so
 // it must be Incomplete too: only an exhaustive enumeration yields a
 // report that covers every fork.
-func (e *Engine) DisambiguateCtx(ctx context.Context, sc Scenario, limit int, b Budget) (*Disambiguation, error) {
+func (e *Engine) disambiguate(ctx context.Context, sc Scenario, limit int, b Budget) (*Disambiguation, *EnumerateResult, error) {
 	k := e.kbSnapshot()
-	res, err := e.EnumerateCtx(ctx, sc, limit, b)
+	res, err := e.enumerate(ctx, sc, limit, b)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	designs := res.Designs
 	d := &Disambiguation{Classes: len(designs), Incomplete: res.Truncated}
 	if len(designs) < 2 {
-		return d, nil
+		return d, res, nil
 	}
 
 	// Systems appearing in some but not all designs, grouped by role.
@@ -357,5 +346,5 @@ func (e *Engine) DisambiguateCtx(ctx context.Context, sc Scenario, limit int, b 
 		}
 	}
 	sort.Strings(d.FreeAtoms)
-	return d, nil
+	return d, res, nil
 }

@@ -263,37 +263,6 @@ func RacePortfolio(ctx context.Context, solvers []*Solver, assumps []Lit) (res P
 	return res
 }
 
-// SolvePortfolio races one solver per option set over the same clauses
-// and returns the race verdict. The clauses are loaded once into a base
-// solver (built with configs[0]); every other worker starts from a
-// near-memcpy Clone of that base with its own options applied, so setup
-// cost is one compile plus cheap slab copies rather than an AddClause
-// replay per worker. A cancelled context yields Unknown.
-//
-// Portfolio solving is the standard answer to heavy-tailed SAT runtimes:
-// different heuristics win on different instances, and the race takes
-// the minimum — with the determinism contract documented on
-// RacePortfolio, so the verdict does not depend on which worker was
-// scheduled first.
-func SolvePortfolio(ctx context.Context, clauses [][]Lit, nVars int, configs []Options) PortfolioResult {
-	if len(configs) == 0 {
-		configs = []Options{{}, {NoRestarts: true}, {NoPhaseSaving: true}}
-	}
-	base := NewSolverOpts(configs[0])
-	base.EnsureVars(nVars)
-	for _, c := range clauses {
-		base.AddClause(c...)
-	}
-	solvers := make([]*Solver, len(configs))
-	solvers[0] = base
-	for i := 1; i < len(configs); i++ {
-		s := base.Clone()
-		s.SetOptions(configs[i])
-		solvers[i] = s
-	}
-	return RacePortfolio(ctx, solvers, nil)
-}
-
 // stopFlag is a tiny wrapper so the Solver zero-value works.
 type stopFlag struct{ v atomic.Bool }
 

@@ -7,13 +7,34 @@ import (
 	"time"
 )
 
+// portfolioSolvers loads the clauses into a base solver built with
+// configs[0] and clones one worker per further config, ready for
+// RacePortfolio; no configs means three diversified defaults.
+func portfolioSolvers(clauses [][]Lit, nVars int, configs []Options) []*Solver {
+	if len(configs) == 0 {
+		configs = []Options{{}, {NoRestarts: true}, {NoPhaseSaving: true}}
+	}
+	base := NewSolverOpts(configs[0])
+	base.EnsureVars(nVars)
+	for _, c := range clauses {
+		base.AddClause(c...)
+	}
+	solvers := []*Solver{base}
+	for _, opts := range configs[1:] {
+		s := base.Clone()
+		s.SetOptions(opts)
+		solvers = append(solvers, s)
+	}
+	return solvers
+}
+
 func TestPortfolioSat(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	for i := 0; i < 20; i++ {
 		nVars := 10 + r.Intn(8)
 		clauses := randomInstance(r, nVars, nVars*3, 3)
 		wantSat, _ := bruteForce(nVars, clauses)
-		res := SolvePortfolio(context.Background(), clauses, nVars, nil)
+		res := RacePortfolio(context.Background(), portfolioSolvers(clauses, nVars, nil), nil)
 		if (res.Status == Sat) != wantSat {
 			t.Fatalf("instance %d: portfolio %v, want sat=%v", i, res.Status, wantSat)
 		}
@@ -58,9 +79,9 @@ func TestPortfolioUnsat(t *testing.T) {
 			}
 		}
 	}
-	res := SolvePortfolio(context.Background(), clauses, (n+1)*n, []Options{
+	res := RacePortfolio(context.Background(), portfolioSolvers(clauses, (n+1)*n, []Options{
 		{}, {NoRestarts: true}, {StaticOrder: true},
-	})
+	}), nil)
 	if res.Status != Unsat {
 		t.Fatalf("PHP must be UNSAT, got %v", res.Status)
 	}
@@ -91,7 +112,7 @@ func TestPortfolioCancellation(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	res := SolvePortfolio(ctx, clauses, (n+1)*n, nil)
+	res := RacePortfolio(ctx, portfolioSolvers(clauses, (n+1)*n, nil), nil)
 	if res.Status != Unknown || res.Winner != -1 {
 		t.Fatalf("cancelled portfolio must be Unknown/-1, got %+v", res)
 	}

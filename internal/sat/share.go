@@ -45,7 +45,6 @@ type ClauseRing struct {
 	slots     []shareSlot
 	pos       atomic.Uint64 // ticket counter; slot index = ticket % len(slots)
 	published atomic.Int64
-	dropped   atomic.Int64
 }
 
 // NewClauseRing returns a ring with the given number of slots (minimum 1).
@@ -59,9 +58,6 @@ func NewClauseRing(slots int) *ClauseRing {
 // Published returns how many clauses were successfully written.
 func (r *ClauseRing) Published() int64 { return r.published.Load() }
 
-// Dropped returns how many publish attempts lost a slot claim.
-func (r *ClauseRing) Dropped() int64 { return r.dropped.Load() }
-
 // Publish offers a clause to the ring on behalf of worker src. It never
 // blocks: contention for the slot drops the clause. Reports whether the
 // clause was written.
@@ -74,7 +70,6 @@ func (r *ClauseRing) Publish(src int, lits []Lit) bool {
 	slot := &r.slots[t%uint64(len(r.slots))]
 	seq := slot.seq.Load()
 	if seq&1 == 1 || !slot.seq.CompareAndSwap(seq, seq+1) {
-		r.dropped.Add(1)
 		return false
 	}
 	slot.ticket.Store(t)

@@ -165,7 +165,7 @@ func TestPortfolioSharesClauses(t *testing.T) {
 	for i := range configs {
 		configs[i] = PortfolioOptions(i, Options{})
 	}
-	res := SolvePortfolio(context.Background(), clauses, nVars, configs)
+	res := RacePortfolio(context.Background(), portfolioSolvers(clauses, nVars, configs), nil)
 	if res.Status != Unsat {
 		t.Fatalf("PHP(7) = %v, want Unsat", res.Status)
 	}

@@ -347,9 +347,6 @@ func (s *Solver) NumVars() int { return s.nVars }
 // NumClauses returns the number of problem clauses currently held.
 func (s *Solver) NumClauses() int { return len(s.clauses) }
 
-// NumLearnts returns the number of live learnt clauses.
-func (s *Solver) NumLearnts() int { return len(s.learnts) }
-
 // Stats returns a copy of the cumulative solver statistics.
 func (s *Solver) Stats() Stats { return s.stats }
 

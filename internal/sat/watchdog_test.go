@@ -333,7 +333,7 @@ func TestPortfolioDrainsDeliveredVerdict(t *testing.T) {
 			}
 			return false
 		}
-		res := SolvePortfolio(ctx, clauses, nVars, []Options{{FaultHook: hook}})
+		res := RacePortfolio(ctx, portfolioSolvers(clauses, nVars, []Options{{FaultHook: hook}}), nil)
 		cancel()
 		if res.Status != Unsat || res.Winner != 0 {
 			t.Fatalf("iteration %d: got %+v, want the delivered Unsat verdict", i, res)

@@ -196,6 +196,49 @@ type QueryRequest struct {
 	Pareto     bool     `json:"pareto,omitempty"`
 }
 
+// modeKinds maps each /v1 query mode onto the engine query it runs
+// (whatif runs its kind twice: on the base and the delta scenario).
+var modeKinds = map[string]core.QueryKind{
+	"synth":     core.QuerySynthesize,
+	"check":     core.QueryCheck,
+	"explain":   core.QueryExplain,
+	"whatif":    core.QuerySynthesize,
+	"enumerate": core.QueryEnumerate,
+	"optimize":  core.QueryOptimize,
+}
+
+// query converts the request into the engine query its mode runs, with
+// the enumeration limit clamped to (0, maxEnum]. Only optimize reads the
+// objectives and the strategy; with no objectives it leaves both
+// unparsed, so the engine's "requires at least one objective" refusal
+// wins over a bad strategy spelling.
+func (r *QueryRequest) query(mode string, maxEnum int, budget core.Budget) (core.Query, error) {
+	q := core.Query{Kind: modeKinds[mode], Scenario: r.Scenario.toScenario(), Limit: r.Max, Budget: budget}
+	if q.Limit <= 0 || q.Limit > maxEnum {
+		q.Limit = maxEnum
+	}
+	if r.Design != nil {
+		d := r.Design.toDesign()
+		q.Design = &d
+	}
+	if mode != "optimize" || len(r.Objectives) == 0 {
+		return q, nil
+	}
+	if r.Pareto {
+		q.Kind = core.QueryPareto
+	}
+	for _, name := range r.Objectives {
+		obj, err := core.ParseObjective(name)
+		if err != nil {
+			return q, err
+		}
+		q.Objectives = append(q.Objectives, obj)
+	}
+	var err error
+	q.Strategy, err = core.ParseOptimizeStrategy(r.Strategy)
+	return q, err
+}
+
 // DesignOut is the wire form of an answered design.
 type DesignOut struct {
 	Systems  []string          `json:"systems"`
@@ -308,6 +351,52 @@ type QueryResponse struct {
 	Degraded      bool      `json:"degraded,omitempty"`
 	DegradedCause string    `json:"degraded_cause,omitempty"`
 	Spent         SpentJSON `json:"spent"`
+}
+
+// response renders a mode's answer: after is the delta scenario's
+// answer for whatif and nil for every other mode.
+func response(mode string, res, after *core.Result) *QueryResponse {
+	resp := &QueryResponse{Mode: mode, Spent: spentJSON(res.Spent())}
+	if after != nil {
+		resp.Before, resp.After = outcomeOf(res.Report), outcomeOf(after.Report)
+		b, a := res.Spent(), after.Spent()
+		resp.Spent = spentJSON(core.BudgetSpent{
+			Conflicts: b.Conflicts + a.Conflicts,
+			Decisions: b.Decisions + a.Decisions,
+			Wall:      b.Wall + a.Wall,
+		})
+	} else if rep := res.Report; rep != nil {
+		resp.Verdict = rep.Verdict.String()
+		resp.Design = designOut(rep.Design)
+		resp.Explanation = explanationOut(rep.Explanation)
+	}
+	if o := res.Optimum; o != nil {
+		resp.ObjectiveValues, resp.LowerBounds = o.ObjectiveValues, o.LowerBounds
+	}
+	if en := res.Enumeration; en != nil {
+		for _, d := range en.Designs {
+			resp.Designs = append(resp.Designs, designOut(d))
+		}
+		resp.Truncated, resp.TruncateReason = en.Truncated, en.Reason
+	}
+	if p := res.Pareto; p != nil {
+		for _, pt := range p.Points {
+			resp.ParetoPoints = append(resp.ParetoPoints, &ParetoPointOut{Values: pt.Values, Design: designOut(pt.Design)})
+		}
+		resp.Complete = p.Complete
+	}
+	// Degraded answers are still witnessed 200s: the best design with its
+	// proven bracket, an approximate explanation, a budget-truncated
+	// enumeration or a partial frontier.
+	for _, r := range []*core.Result{res, after} {
+		if r == nil {
+			continue
+		}
+		if cause, ok := r.Degraded(); ok {
+			resp.Degraded, resp.DegradedCause = true, cause
+		}
+	}
+	return resp
 }
 
 // ParetoPointOut is one non-dominated objective vector with a witness.

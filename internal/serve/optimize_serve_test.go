@@ -175,6 +175,28 @@ func TestServeOptimizeBudgetTripDegrades(t *testing.T) {
 	}
 }
 
+// TestServeOptimizeInfeasibleBudget: an infeasible optimize whose
+// explanation a one-conflict budget left approximate is a plain 200 —
+// the verdict is certified, so the answer is not degraded.
+func TestServeOptimizeInfeasibleBudget(t *testing.T) {
+	_, base := testServer(t, nil)
+	var qr QueryResponse
+	status, raw := post(t, base+"/v1/optimize", QueryRequest{
+		Scenario:   ScenarioJSON{Context: map[string]bool{"pfc_enabled": true, "flooding_enabled": true}},
+		Objectives: []string{"cost"},
+		Budget:     &BudgetJSON{MaxConflicts: 1},
+	}, &qr)
+	if status != http.StatusOK || qr.Verdict != "INFEASIBLE" {
+		t.Fatalf("want a 200 INFEASIBLE, got %d\n%s", status, raw)
+	}
+	if qr.Explanation == nil || !qr.Explanation.Approximate {
+		t.Fatalf("one conflict must leave the explanation approximate: %s", raw)
+	}
+	if qr.Degraded || qr.DegradedCause != "" {
+		t.Fatalf("infeasible optimize marked degraded: %s", raw)
+	}
+}
+
 // TestServeOptimizePanicIsolation: a panic inside an optimize request is
 // a 500 with a typed body, and the server keeps answering.
 func TestServeOptimizePanicIsolation(t *testing.T) {

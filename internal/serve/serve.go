@@ -168,7 +168,7 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s.mux = http.NewServeMux()
-	for _, mode := range []string{"check", "synth", "whatif", "enumerate", "explain", "optimize"} {
+	for mode := range modeKinds {
 		s.mux.HandleFunc("POST /v1/"+mode, s.queryHandler(mode))
 	}
 	s.mux.HandleFunc("POST /v1/admin/reload", s.handleReload)
@@ -356,21 +356,11 @@ func (s *Server) queryHandler(mode string) http.HandlerFunc {
 			})
 			return
 		}
-		if mode == "check" && req.Design == nil {
-			s.writeError(w, ms, start, http.StatusBadRequest, ErrorInfo{
-				Kind: "bad_request", Detail: "check requires a design",
-			})
-			return
-		}
+		// The engine validates the query itself (Engine.Do); the delta is
+		// a wire-only field, so its check stays here.
 		if mode == "whatif" && req.Delta == nil {
 			s.writeError(w, ms, start, http.StatusBadRequest, ErrorInfo{
 				Kind: "bad_request", Detail: "whatif requires a delta",
-			})
-			return
-		}
-		if mode == "optimize" && len(req.Objectives) == 0 {
-			s.writeError(w, ms, start, http.StatusBadRequest, ErrorInfo{
-				Kind: "bad_request", Detail: "optimize requires at least one objective",
 			})
 			return
 		}
@@ -392,157 +382,42 @@ func (s *Server) queryHandler(mode string) http.HandlerFunc {
 
 // execute runs one admitted, parsed query and renders the outcome. It
 // returns either a response or a typed error with its HTTP status.
+// Every mode is one Engine.Do call except whatif, which asks the same
+// query twice: on the base scenario and on the delta scenario.
 func (s *Server) execute(ctx context.Context, mode string, req *QueryRequest, budget core.Budget) (*QueryResponse, *ErrorInfo, int) {
-	sc := req.Scenario.toScenario()
-	resp := &QueryResponse{Mode: mode}
-
-	fail := func(err error) (*QueryResponse, *ErrorInfo, int) {
-		var ex *core.ErrResourceExhausted
-		if errors.As(err, &ex) {
-			info := &ErrorInfo{Kind: "resource_exhausted", Cause: ex.Cause, Detail: err.Error()}
-			sp := spentJSON(ex.Spent)
-			info.Spent = &sp
-			status := http.StatusGatewayTimeout
-			if errors.Is(err, context.Canceled) {
-				info.Kind = "client_gone"
-			}
-			return nil, info, status
-		}
+	q, err := req.query(mode, s.cfg.MaxEnumerate, budget)
+	if err != nil {
 		return nil, &ErrorInfo{Kind: "bad_request", Detail: err.Error()}, http.StatusBadRequest
 	}
-
-	switch mode {
-	case "synth", "explain":
-		rep, err := s.eng.SynthesizeCtx(ctx, sc, budget)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Verdict = rep.Verdict.String()
-		resp.Explanation = explanationOut(rep.Explanation)
-		if mode == "synth" {
-			resp.Design = designOut(rep.Design)
-		}
-		resp.Spent = spentJSON(rep.Spent)
-		if resp.Explanation != nil && resp.Explanation.Approximate {
-			resp.Degraded = true
-			resp.DegradedCause = resp.Explanation.Cause
-		}
-
-	case "check":
-		rep, err := s.eng.CheckCtx(ctx, req.Design.toDesign(), sc, budget)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Verdict = rep.Verdict.String()
-		resp.Design = designOut(rep.Design)
-		resp.Explanation = explanationOut(rep.Explanation)
-		resp.Spent = spentJSON(rep.Spent)
-		if resp.Explanation != nil && resp.Explanation.Approximate {
-			resp.Degraded = true
-			resp.DegradedCause = resp.Explanation.Cause
-		}
-
-	case "whatif":
-		before, err := s.eng.SynthesizeCtx(ctx, sc, budget)
-		if err != nil {
-			return fail(err)
-		}
-		after, err := s.eng.SynthesizeCtx(ctx, req.Delta.apply(sc), budget)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Before = outcomeOf(before)
-		resp.After = outcomeOf(after)
-		resp.Spent = spentJSON(core.BudgetSpent{
-			Conflicts: before.Spent.Conflicts + after.Spent.Conflicts,
-			Decisions: before.Spent.Decisions + after.Spent.Decisions,
-			Wall:      before.Spent.Wall + after.Spent.Wall,
-		})
-		for _, o := range []*Outcome{resp.Before, resp.After} {
-			if o.Explanation != nil && o.Explanation.Approximate {
-				resp.Degraded = true
-				resp.DegradedCause = o.Explanation.Cause
-			}
-		}
-
-	case "enumerate":
-		max := req.Max
-		if max <= 0 || max > s.cfg.MaxEnumerate {
-			max = s.cfg.MaxEnumerate
-		}
-		res, err := s.eng.EnumerateCtx(ctx, sc, max, budget)
-		if err != nil {
-			return fail(err)
-		}
-		for _, d := range res.Designs {
-			resp.Designs = append(resp.Designs, designOut(d))
-		}
-		resp.Truncated = res.Truncated
-		resp.TruncateReason = res.Reason
-		resp.Spent = spentJSON(res.Spent)
-		if res.Exhausted != nil {
-			// Budget-truncated but still witnessed: a degraded 200, per
-			// the enumeration degradation contract.
-			resp.Degraded = true
-			resp.DegradedCause = res.Exhausted.Cause
-		}
-
-	case "optimize":
-		objs := make([]core.Objective, len(req.Objectives))
-		for i, name := range req.Objectives {
-			obj, err := core.ParseObjective(name)
-			if err != nil {
-				return nil, &ErrorInfo{Kind: "bad_request", Detail: err.Error()}, http.StatusBadRequest
-			}
-			objs[i] = obj
-		}
-		// The strategy is threaded per-request (never an engine-wide
-		// knob): concurrent requests with different strategies must not
-		// race each other.
-		strat, err := core.ParseOptimizeStrategy(req.Strategy)
-		if err != nil {
-			return nil, &ErrorInfo{Kind: "bad_request", Detail: err.Error()}, http.StatusBadRequest
-		}
-		if req.Pareto {
-			res, err := s.eng.ParetoWithStrategyCtx(ctx, sc, objs, budget, strat)
-			if err != nil {
-				return fail(err)
-			}
-			for _, p := range res.Points {
-				resp.ParetoPoints = append(resp.ParetoPoints, &ParetoPointOut{
-					Values: p.Values, Design: designOut(p.Design),
-				})
-			}
-			resp.Complete = res.Complete
-			resp.Spent = spentJSON(res.Spent)
-			if res.Exhausted != nil {
-				// Partial frontier: degraded 200, mirroring enumerate.
-				resp.Degraded = true
-				resp.DegradedCause = res.Exhausted.Cause
-			}
-			return resp, nil, 0
-		}
-		res, err := s.eng.OptimizeWithStrategyCtx(ctx, sc, objs, budget, strat)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Verdict = res.Verdict.String()
-		resp.Design = designOut(res.Design)
-		resp.Explanation = explanationOut(res.Explanation)
-		resp.ObjectiveValues = res.ObjectiveValues
-		resp.LowerBounds = res.LowerBounds
-		resp.Spent = spentJSON(res.Spent)
-		if res.Approximate {
-			// Budget-tripped but witnessed: the response still carries the
-			// best design plus the proven [lower_bound, value] bracket.
-			resp.Degraded = true
-			resp.DegradedCause = res.ApproxCause
-		}
-
-	default:
-		return nil, &ErrorInfo{Kind: "bad_request", Detail: "unknown mode " + mode}, http.StatusBadRequest
+	res, err := s.eng.Do(ctx, q)
+	if err != nil {
+		return fail(err)
 	}
-	return resp, nil, 0
+	var after *core.Result
+	if mode == "whatif" {
+		q.Scenario = req.Delta.apply(q.Scenario)
+		if after, err = s.eng.Do(ctx, q); err != nil {
+			return fail(err)
+		}
+	}
+	return response(mode, res, after), nil, 0
+}
+
+// fail maps a query error onto its typed body and HTTP status: budget
+// trips are resource_exhausted (client_gone when the client canceled),
+// anything else is the request's fault.
+func fail(err error) (*QueryResponse, *ErrorInfo, int) {
+	var ex *core.ErrResourceExhausted
+	if errors.As(err, &ex) {
+		info := &ErrorInfo{Kind: "resource_exhausted", Cause: ex.Cause, Detail: err.Error()}
+		sp := spentJSON(ex.Spent)
+		info.Spent = &sp
+		if errors.Is(err, context.Canceled) {
+			info.Kind = "client_gone"
+		}
+		return nil, info, http.StatusGatewayTimeout
+	}
+	return nil, &ErrorInfo{Kind: "bad_request", Detail: err.Error()}, http.StatusBadRequest
 }
 
 // reject sheds one request with a Retry-After hint and a typed body. The
@@ -734,10 +609,4 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 		},
 		Modes: s.stats.snapshot(),
 	})
-}
-
-// Gauges reports the instantaneous in-flight and queued request counts
-// (also exposed on /statsz).
-func (s *Server) Gauges() (inFlight, queued int64) {
-	return s.inFlight.Load(), s.queued.Load()
 }

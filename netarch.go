@@ -81,11 +81,20 @@ type (
 	// so even a fresh process skips the first compile (corrupt or stale
 	// files downgrade to a silent recompile, never a wrong answer);
 	// Engine.SetDiskCacheLimit bounds the directory.
-	// Enumeration (EnumerateCtx, Enumerate, DisambiguateCtx) itself runs
-	// on a pool of cloned solvers — Engine.SetWorkers sizes it (default
-	// runtime.GOMAXPROCS(0)) — with results guaranteed independent of the
-	// worker count.
+	// Enumeration (and the disambiguate and Pareto queries built on its
+	// cubes) runs on a pool of cloned solvers — Engine.SetWorkers sizes
+	// it (default runtime.GOMAXPROCS(0)) — with results guaranteed
+	// independent of the worker count.
 	Engine = core.Engine
+	// Query is one question to the engine, answered by Engine.Do: its
+	// kind, scenario, the kind's inputs (design, objectives, strategy,
+	// limit) and a resource budget.
+	Query = core.Query
+	// QueryKind names the question a Query asks.
+	QueryKind = core.QueryKind
+	// Result is Engine.Do's answer; Degraded reports a budget-tripped but
+	// still usable answer.
+	Result = core.Result
 	// CacheStats reports the engine's compiled-base cache: size,
 	// capacity, lifetime hit/miss counters, and — when a cache directory
 	// is set — the disk tier's hit/miss/write/evict/corrupt counters.
@@ -106,8 +115,8 @@ type (
 	// values, and the proven lower bounds (the bounded-suboptimality
 	// bracket when a budget trips mid-search).
 	OptimizeResult = core.OptimizeResult
-	// OptimizeStrategy selects the MaxSAT descent used by Optimize and
-	// Pareto queries (StrategyBinary or StrategyLinear).
+	// OptimizeStrategy selects the MaxSAT descent of optimize and pareto
+	// queries (Query.Strategy: StrategyBinary or StrategyLinear).
 	OptimizeStrategy = core.OptimizeStrategy
 	// ParetoResult is the non-dominated frontier over several objectives.
 	ParetoResult = core.ParetoResult
@@ -125,9 +134,9 @@ type (
 	Fork = core.Fork
 )
 
-// Resource-governance types: every query has a *Ctx variant taking a
-// context.Context plus a Budget, and degrades gracefully when a budget
-// trips. See package core for the degradation contract.
+// Resource-governance types: Engine.Do runs every query under a
+// context.Context plus the Query's Budget, and degrades gracefully when a
+// budget trips. See package core for the degradation contract.
 type (
 	// Budget bounds wall-clock time and per-phase solver work for one
 	// query. The zero value means unbounded.
@@ -146,6 +155,18 @@ type (
 // IsResourceExhausted reports whether err is (or wraps) a resource-
 // exhaustion error from a governed query.
 func IsResourceExhausted(err error) bool { return core.IsResourceExhausted(err) }
+
+// Query kinds for Query.Kind.
+const (
+	QuerySynthesize   = core.QuerySynthesize
+	QueryCheck        = core.QueryCheck
+	QueryExplain      = core.QueryExplain
+	QueryOptimize     = core.QueryOptimize
+	QueryPareto       = core.QueryPareto
+	QueryEnumerate    = core.QueryEnumerate
+	QuerySuggest      = core.QuerySuggest
+	QueryDisambiguate = core.QueryDisambiguate
+)
 
 // Query verdicts.
 const (
@@ -185,7 +206,7 @@ const (
 // empty, the default), "on", and "off".
 func ParseSliceMode(s string) (SliceMode, error) { return core.ParseSliceMode(s) }
 
-// MaxSAT descent strategies for Engine.SetOptimizeStrategy.
+// MaxSAT descent strategies for Query.Strategy.
 const (
 	// StrategyBinary bisects the objective range (the default): budget
 	// trips leave tight two-sided bounds.

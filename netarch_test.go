@@ -75,12 +75,15 @@ func TestGovernedAPISurface(t *testing.T) {
 	}
 
 	// A generous budget answers like the ungoverned call.
-	rep, err := eng.SynthesizeCtx(context.Background(), netarch.Scenario{
-		Require: []netarch.Property{"congestion_control"},
-	}, netarch.Budget{Timeout: time.Minute})
+	out, err := eng.Do(context.Background(), netarch.Query{
+		Kind:     netarch.QuerySynthesize,
+		Scenario: netarch.Scenario{Require: []netarch.Property{"congestion_control"}},
+		Budget:   netarch.Budget{Timeout: time.Minute},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := out.Report
 	if rep.Verdict != netarch.Feasible {
 		t.Fatalf("governed synthesize failed: %v", rep.Explanation)
 	}
@@ -91,7 +94,7 @@ func TestGovernedAPISurface(t *testing.T) {
 	// An expired context is a typed, inspectable refusal.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = eng.SynthesizeCtx(ctx, netarch.Scenario{}, netarch.Budget{})
+	_, err = eng.Do(ctx, netarch.Query{Kind: netarch.QuerySynthesize})
 	if !netarch.IsResourceExhausted(err) {
 		t.Fatalf("want resource exhaustion, got %v", err)
 	}

@@ -1,7 +1,6 @@
 package netarch_test
 
 import (
-	"context"
 	"reflect"
 	"sort"
 	"testing"
@@ -10,7 +9,7 @@ import (
 )
 
 // This file is the facade-level differential for portfolio solving: for
-// the §5.1 case-study queries, SynthesizeCtx must return byte-identical
+// the §5.1 case-study queries, Synthesize must return byte-identical
 // verdicts and designs whatever the portfolio width — racing diversified
 // workers is a latency knob, never an answer knob. `make verify` runs
 // these tests explicitly (the portfolio-diff target).
@@ -26,11 +25,10 @@ func TestPortfolioWorkerInvariance(t *testing.T) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	ctx := context.Background()
 	for _, name := range names {
 		sc := scenarios[name]
 		eng.SetPortfolio(1)
-		want, err := eng.SynthesizeCtx(ctx, sc, netarch.Budget{})
+		want, err := eng.Synthesize(sc)
 		if err != nil {
 			t.Fatalf("%s sequential: %v", name, err)
 		}
@@ -41,7 +39,7 @@ func TestPortfolioWorkerInvariance(t *testing.T) {
 		var wantEx *netarch.Explanation
 		for _, n := range []int{2, 4, 8} {
 			eng.SetPortfolio(n)
-			got, err := eng.SynthesizeCtx(ctx, sc, netarch.Budget{})
+			got, err := eng.Synthesize(sc)
 			if err != nil {
 				t.Fatalf("%s portfolio=%d: %v", name, n, err)
 			}
